@@ -50,17 +50,14 @@ SharedModel& Model() {
   return *model;
 }
 
-/// Same weights as Model(), scored through the recorded-plan path with the
-/// given rewrite passes. Setup scores the labeled test pairs a few times so
-/// the per-shape plans are recorded — and, for int8, calibrated on real
-/// pairs and quantized — before timing starts.
-std::unique_ptr<core::HisRectModel> MakePlanVariant(bool fuse, bool quantize) {
+/// Same weights as Model(), scored through the recorded-plan path with or
+/// without fusion. Setup scores the labeled test pairs once so the
+/// per-shape plans are recorded before timing starts.
+std::unique_ptr<core::HisRectModel> MakePlanVariant(bool fuse) {
   SharedModel& shared = Model();
   core::HisRectModelConfig config = shared.config;
   config.plan.enabled = true;
   config.plan.fuse = fuse;
-  config.plan.quantize = quantize;
-  config.plan.calibration_samples = 4;
   auto model = std::make_unique<core::HisRectModel>(config);
   model->InitializeForLoad(shared.data.dataset, shared.data.text_model);
   if (!model->Load(shared.checkpoint).ok()) {
@@ -72,25 +69,17 @@ std::unique_ptr<core::HisRectModel> MakePlanVariant(bool fuse, bool quantize) {
                                 const data::Profile& b) {
     return m->ScorePair(a, b);
   };
-  const int warm_passes = quantize ? 4 : 1;
-  for (int pass = 0; pass < warm_passes; ++pass) {
-    (void)eval::ScoreLabeledPairs(shared.data.dataset.test, scorer);
-  }
+  (void)eval::ScoreLabeledPairs(shared.data.dataset.test, scorer);
   return model;
 }
 
 core::HisRectModel& PlanModel() {
-  static auto* model = MakePlanVariant(false, false).release();
+  static auto* model = MakePlanVariant(false).release();
   return *model;
 }
 
 core::HisRectModel& PlanFuseModel() {
-  static auto* model = MakePlanVariant(true, false).release();
-  return *model;
-}
-
-core::HisRectModel& PlanFuseInt8Model() {
-  static auto* model = MakePlanVariant(true, true).release();
+  static auto* model = MakePlanVariant(true).release();
   return *model;
 }
 
@@ -131,11 +120,8 @@ void BM_CoLocationJudgement(benchmark::State& state) {
 BENCHMARK(BM_CoLocationJudgement);
 
 // Judgement through the recorded-plan executor, one benchmark per rewrite
-// tier: plain recorded plan, + op fusion, + int8 quantization. Same
-// pair stream as BM_CoLocationJudgement, so the four series are directly
-// comparable; the ≥1.2x plan+fuse+int8 vs plan gate itself lives in
-// bench_serving / run_benches.sh where the variants share one checkpoint
-// and interleaved timing.
+// tier: plain recorded plan, then + op fusion. Same pair stream as
+// BM_CoLocationJudgement, so the three series are directly comparable.
 void JudgementThroughModel(benchmark::State& state,
                            const core::HisRectModel& model) {
   const auto& profiles = Model().data.dataset.test.profiles;
@@ -157,11 +143,6 @@ void BM_CoLocationJudgementPlanFuse(benchmark::State& state) {
 }
 BENCHMARK(BM_CoLocationJudgementPlanFuse);
 
-void BM_CoLocationJudgementPlanFuseInt8(benchmark::State& state) {
-  JudgementThroughModel(state, PlanFuseInt8Model());
-}
-BENCHMARK(BM_CoLocationJudgementPlanFuseInt8);
-
 void BM_PoiInferenceTop5(benchmark::State& state) {
   SharedModel& shared = Model();
   const auto& profiles = shared.data.dataset.test.profiles;
@@ -177,7 +158,9 @@ BENCHMARK(BM_PoiInferenceTop5);
 // Batched variant of the judgement benchmark: scores every labeled test
 // pair through eval::ScoreLabeledPairs, which fans the batch out over the
 // global thread pool. items/sec here is the pairs/sec throughput figure; run
-// with HISRECT_NUM_THREADS=1 vs N to see the parallel-layer speedup.
+// with HISRECT_NUM_THREADS=1 vs N to see the parallel-layer speedup. Timed
+// on the wall clock: the pool workers do the scoring while the main thread
+// waits, so its CPU time would overstate the rate by orders of magnitude.
 void BM_BatchedPairScoring(benchmark::State& state) {
   SharedModel& shared = Model();
   const data::DataSplit& split = shared.data.dataset.test;
@@ -190,7 +173,7 @@ void BM_BatchedPairScoring(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
                                                pairs_per_batch));
 }
-BENCHMARK(BM_BatchedPairScoring)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchedPairScoring)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_VisitFeaturizerOnly(benchmark::State& state) {
   SharedModel& shared = Model();

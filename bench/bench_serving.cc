@@ -37,8 +37,6 @@
 #include "core/hisrect_model.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
-#include "eval/metrics.h"
-#include "eval/pair_evaluator.h"
 #include "serve/introspection.h"
 #include "serve/judgement_server.h"
 #include "serve/model_registry.h"
@@ -46,7 +44,6 @@
 #include "serve/stage_trace.h"
 #include "util/fail_point.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace hisrect::bench {
 namespace {
@@ -1034,220 +1031,6 @@ int Run() {
         router_out.max_min_ratio);
   }
 
-  // --- Execution-variant sweep: {baseline, plan, plan+fuse,
-  // plan+fuse+int8} single-thread offline scoring throughput, all loading
-  // the one fit above from a checkpoint. Contracts measured per variant:
-  // fp32 plan variants must score bitwise-identically to the eager
-  // baseline; int8 trades bitwise equality for throughput and is gated on
-  // the AUC delta instead; every plan variant must do zero steady-state
-  // tensor allocations inside the timed window. ---
-  struct VariantResult {
-    std::string name;
-    double pairs_per_sec = 0.0;
-    bool fp32 = true;
-    bool matches_eager = false;
-    double auc = 0.0;
-    int64_t steady_allocs = 0;
-    int64_t quantized_plans = 0;
-  };
-  std::vector<VariantResult> variants;
-  bool variants_ok = true;
-  const std::string variant_ckpt = out_dir + "/serving_variant_model.bin";
-  if (!model.Save(variant_ckpt).ok()) {
-    std::fprintf(stderr, "[serving] cannot save %s\n", variant_ckpt.c_str());
-    variants_ok = false;
-  } else {
-    util::ThreadPool::SetGlobalNumThreads(1);  // Single-thread throughput.
-    const size_t kThroughputPairs = 48;
-    struct VariantSpec {
-      const char* name;
-      bool plan, fuse, quant;
-    };
-    const VariantSpec specs[] = {
-        {"baseline", false, false, false},
-        {"plan", true, false, false},
-        {"plan_fuse_int8", true, true, true},
-        {"plan_fuse", true, true, false},
-    };
-    struct VariantState {
-      VariantSpec spec;
-      std::unique_ptr<core::HisRectModel> model;
-      std::vector<core::EncodedProfileHandle> encoded;
-      VariantResult result;
-      int64_t window_allocs = 0;
-      double best_pps = 0.0;
-    };
-    std::vector<VariantState> states;
-    std::vector<double> eager_scores;
-    // Phase 1 (per variant): load, warm, calibrate, and check the
-    // correctness contracts (bitwise vs eager / AUC).
-    for (const VariantSpec& spec : specs) {
-      core::HisRectModelConfig vconfig =
-          baselines::BaseModelConfig(env.Budget());
-      vconfig.plan.enabled = spec.plan;
-      vconfig.plan.fuse = spec.fuse;
-      vconfig.plan.quantize = spec.quant;
-      // Low per-shape sample count: plans are cached per pair shape, so
-      // rare shapes must still finish calibrating during warmup or they
-      // stay on the fp32 observe path (slow, allocating). Range diversity
-      // comes from calibrating on real labeled pairs below, not from a
-      // high sample count.
-      vconfig.plan.calibration_samples = 4;
-      VariantState state;
-      state.spec = spec;
-      state.model = std::make_unique<core::HisRectModel>(vconfig);
-      core::HisRectModel& vmodel = *state.model;
-      vmodel.InitializeForLoad(data.dataset, data.text_model);
-      if (!vmodel.Load(variant_ckpt).ok()) {
-        std::fprintf(stderr, "[serving] variant %s: load failed\n",
-                     spec.name);
-        variants_ok = false;
-        break;
-      }
-      // Pre-encode the throughput pool once: the timed window measures
-      // scoring proper (featurize + judge network), which is the path the
-      // fused/int8 kernels target — not the encoder LRU.
-      state.encoded.reserve(pool_size);
-      for (size_t i = 0; i < pool_size; ++i) {
-        state.encoded.push_back(vmodel.Encode(pool[i]));
-      }
-      auto pass = [&](std::vector<double>* out) {
-        for (size_t i = 0; i < kThroughputPairs; ++i) {
-          double score = vmodel.ScorePairEncoded(
-              *state.encoded[i % pool_size],
-              *state.encoded[(i * 7 + 3) % pool_size]);
-          if (out != nullptr) out->push_back(score);
-        }
-      };
-      const obs::MetricsSnapshot quant_before =
-          obs::MetricsRegistry::Global().Scrape();
-      auto scorer = [&vmodel](const data::Profile& a,
-                              const data::Profile& b) {
-        return vmodel.ScorePair(a, b);
-      };
-      // For int8, feed the calibrator labeled test pairs first so the
-      // observed activation ranges cover the eval distribution; the
-      // calibration_samples'th observation quantizes the plan.
-      if (spec.quant) {
-        for (int warm = 0; warm < 4; ++warm) {
-          (void)eval::ScoreLabeledPairs(data.dataset.test, scorer);
-        }
-      }
-      // Warmup: encoder cache, plan recording; for int8 these already run
-      // through the quantized kernels.
-      for (int warm = 0; warm < 6; ++warm) pass(nullptr);
-      const eval::ScoredPairs labeled =
-          eval::ScoreLabeledPairs(data.dataset.test, scorer);
-      const eval::RocCurve roc =
-          eval::ComputeRoc(labeled.scores, labeled.labels);
-      if (roc.degenerate) {
-        std::fprintf(stderr,
-                     "[serving] variant %s: degenerate ROC (one-class "
-                     "split) — AUC gate is meaningless\n",
-                     spec.name);
-        variants_ok = false;
-      }
-      std::vector<double> scores;
-      pass(&scores);
-      if (spec.name == std::string("baseline")) eager_scores = scores;
-      state.result.name = spec.name;
-      state.result.fp32 = !spec.quant;
-      state.result.matches_eager =
-          scores.size() == eager_scores.size() &&
-          std::memcmp(scores.data(), eager_scores.data(),
-                      scores.size() * sizeof(double)) == 0;
-      state.result.auc = roc.auc;
-      state.result.quantized_plans =
-          CounterDelta(quant_before, obs::MetricsRegistry::Global().Scrape(),
-                       "hisrect.nn.quantized_plans");
-      states.push_back(std::move(state));
-    }
-    // Phase 2: interleaved timing rounds. Round-robin over the variants so
-    // slow phases of a shared box penalize all of them equally — back-to-
-    // back per-variant windows would let box-speed drift masquerade as a
-    // kernel-level speedup (or hide one). Best round wins; the alloc gate
-    // accumulates across every window.
-    if (variants_ok) {
-      // Up to two measurement attempts: a shared box can be slow for the
-      // entire first sweep; a retry costs seconds and best-of keeps every
-      // earlier round's result.
-      for (int attempt = 0; attempt < 2; ++attempt) {
-      for (int round = 0; round < 8; ++round) {
-        for (VariantState& state : states) {
-          core::HisRectModel& vmodel = *state.model;
-          const obs::MetricsSnapshot t0 =
-              obs::MetricsRegistry::Global().Scrape();
-          const auto round_start = std::chrono::steady_clock::now();
-          size_t scored = 0;
-          double elapsed = 0.0;
-          do {
-            for (size_t i = 0; i < kThroughputPairs; ++i) {
-              (void)vmodel.ScorePairEncoded(
-                  *state.encoded[i % pool_size],
-                  *state.encoded[(i * 7 + 3) % pool_size]);
-            }
-            scored += kThroughputPairs;
-            elapsed = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - round_start)
-                          .count();
-          } while (elapsed < 0.25);
-          state.best_pps =
-              std::max(state.best_pps, static_cast<double>(scored) / elapsed);
-          state.window_allocs +=
-              CounterDelta(t0, obs::MetricsRegistry::Global().Scrape(),
-                           "hisrect.nn.tensor_allocs");
-        }
-      }
-      // Retry only when the int8-vs-plan ratio is inside the noise band
-      // around its 1.2x gate.
-      if (states[2].best_pps >= 1.25 * states[1].best_pps) break;
-      }
-      for (VariantState& state : states) {
-        state.result.pairs_per_sec = state.best_pps;
-        state.result.steady_allocs = state.window_allocs;
-        variants.push_back(state.result);
-      }
-    }
-  }
-  if (variants_ok && variants.size() == 4) {
-    const VariantResult& baseline = variants[0];
-    for (size_t i = 1; i < variants.size(); ++i) {
-      const VariantResult& v = variants[i];
-      if (v.fp32 && !v.matches_eager) {
-        std::fprintf(stderr,
-                     "[serving] variant %s: fp32 scores differ from eager\n",
-                     v.name.c_str());
-        variants_ok = false;
-      }
-      if (v.steady_allocs != 0) {
-        std::fprintf(stderr,
-                     "[serving] variant %s: %lld steady-state tensor "
-                     "allocation(s); want 0\n",
-                     v.name.c_str(),
-                     static_cast<long long>(v.steady_allocs));
-        variants_ok = false;
-      }
-      if (!v.fp32) {
-        if (v.quantized_plans <= 0) {
-          std::fprintf(stderr,
-                       "[serving] variant %s: no plan was quantized — the "
-                       "int8 path never ran\n",
-                       v.name.c_str());
-          variants_ok = false;
-        }
-        if (!(std::abs(v.auc - baseline.auc) <= 0.005)) {
-          std::fprintf(stderr,
-                       "[serving] variant %s: AUC %.4f vs baseline %.4f — "
-                       "delta exceeds 0.005\n",
-                       v.name.c_str(), v.auc, baseline.auc);
-          variants_ok = false;
-        }
-      }
-    }
-  } else if (variants_ok) {
-    variants_ok = false;
-  }
-
   util::Table table({"metric", "value"});
   table.AddRow({"requests", std::to_string(all_latencies.size())});
   table.AddRow({"qps", util::Table::Fmt(qps, 1)});
@@ -1302,14 +1085,6 @@ int Run() {
                 util::Table::Fmt(router_out.max_min_ratio, 3) + " over " +
                     std::to_string(router_out.balance_shards) + " shards"});
   table.AddRow({"router gate", router_out.ok() ? "OK" : "VIOLATED"});
-  for (const VariantResult& v : variants) {
-    table.AddRow({v.name + " pairs/s (1 thread)",
-                  util::Table::Fmt(v.pairs_per_sec, 1)});
-    table.AddRow({v.name + (v.fp32 ? " bitwise vs eager" : " AUC"),
-                  v.fp32 ? (v.matches_eager ? std::string("OK")
-                                            : std::string("VIOLATED"))
-                         : util::Table::Fmt(v.auc, 4)});
-  }
   std::printf("== Online serving (batch_size=%zu, max_wait=%lluus, "
               "cache_capacity=%zu) ==\n",
               serve_options.batch_size,
@@ -1374,21 +1149,6 @@ int Run() {
                static_cast<long long>(steady_tensor_allocs),
                static_cast<long long>(arena_bytes),
                static_cast<long long>(plan_cache_hits));
-  std::fprintf(json, "  \"variants\": [");
-  for (size_t i = 0; i < variants.size(); ++i) {
-    const VariantResult& v = variants[i];
-    std::fprintf(json,
-                 "%s\n    {\"name\": \"%s\", \"pairs_per_sec\": %.2f, "
-                 "\"fp32\": %s, \"matches_eager\": %s, \"auc\": %.6f, "
-                 "\"steady_state_allocs\": %lld, "
-                 "\"quantized_plans\": %lld}",
-                 i == 0 ? "" : ",", v.name.c_str(), v.pairs_per_sec,
-                 v.fp32 ? "true" : "false",
-                 v.matches_eager ? "true" : "false", v.auc,
-                 static_cast<long long>(v.steady_allocs),
-                 static_cast<long long>(v.quantized_plans));
-  }
-  std::fprintf(json, "\n  ],\n");
   std::fprintf(json,
                "  \"overload\": {\"ran\": %s, \"offered_qps\": %.1f, "
                "\"interactive_qps\": %.1f,\n"
@@ -1505,7 +1265,7 @@ int Run() {
   std::printf("Wrote %s\n", out_path.c_str());
 
   return (lost == 0 && bitwise_identical && bound_held &&
-          steady_tensor_allocs == 0 && variants_ok && overload.ok() &&
+          steady_tensor_allocs == 0 && overload.ok() &&
           admin_ab.ok() && router_out.ok())
              ? 0
              : 1;

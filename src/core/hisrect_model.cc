@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nn/graph_optimizer.h"
 #include "nn/graph_recorder.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
@@ -148,11 +149,7 @@ std::shared_ptr<const nn::Graph> HisRectModel::RecordScorePlan(
   nn::Tensor fj = featurizer_->Featurize(b, rec_rng, false);
   std::shared_ptr<const nn::Graph> plan =
       recorder.Finish(judge_->CoLocationLogit(fi, fj, rec_rng, false));
-  // Int8 serving calibrates on — and quantizes from — the fused fp32 plan,
-  // so quantize implies fuse even when the flag wasn't set explicitly.
-  if (config_.plan.fuse || config_.plan.quantize) {
-    plan = nn::FuseGraph(*plan);
-  }
+  if (config_.plan.fuse) plan = nn::FuseGraph(*plan);
   return plan;
 }
 
@@ -172,49 +169,13 @@ double HisRectModel::ScorePairPlanned(const EncodedProfile& a,
     }
   }
   if (run == nullptr) run = std::make_unique<nn::PlanRun>();
-  if (plan == nullptr && !config_.plan.quantize) {
+  if (plan == nullptr) {
     // Record outside the lock (the recorder is thread-local). Concurrent
     // scorers may race to record the same shape; the recordings are
-    // identical, so last-Put-wins is harmless.
+    // identical, and PlanCache::Put keeps the first one.
     plan = RecordScorePlan(a, b);
     std::lock_guard<std::mutex> lock(planned_scorer_.mu);
     planned_scorer_.plans.Put(key, plan);
-  }
-  if (plan == nullptr) {
-    // Int8 serving: until this shape has observed enough fp32 executions,
-    // score through its calibrator (which executes the fused fp32 plan and
-    // records activation ranges in stride), then swap the quantized plan
-    // into the cache. The observation runs under the lock so the per-site
-    // ranges stay race-free — only the first calibration_samples calls per
-    // shape pay for that.
-    std::shared_ptr<const nn::Graph> recorded = RecordScorePlan(a, b);
-    run->inputs.Reset();
-    featurizer_->BindPlanInputs(a, run->inputs);
-    featurizer_->BindPlanInputs(b, run->inputs);
-    std::lock_guard<std::mutex> lock(planned_scorer_.mu);
-    plan = planned_scorer_.plans.Get(key);
-    if (plan == nullptr) {
-      auto it = planned_scorer_.calibrating.find(key);
-      if (it == planned_scorer_.calibrating.end()) {
-        it = planned_scorer_.calibrating
-                 .emplace(key, std::make_unique<nn::Calibrator>(
-                                   std::move(recorded),
-                                   config_.plan.calibration_samples))
-                 .first;
-      }
-      nn::Calibrator& calibrator = *it->second;
-      calibrator.Observe(*run);
-      const double score = nn::SigmoidValue(
-          nn::PlanExecutor::OutputScalar(calibrator.graph(), *run));
-      if (calibrator.Ready()) {
-        planned_scorer_.plans.Put(key, calibrator.Quantize());
-        planned_scorer_.calibrating.erase(it);
-      }
-      planned_scorer_.pool.push_back(std::move(run));
-      return score;
-    }
-    // Lost the race to a finished calibration: fall through and replay the
-    // quantized plan this thread just observed in the cache.
   }
   run->inputs.Reset();
   featurizer_->BindPlanInputs(a, run->inputs);

@@ -4,7 +4,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,7 +15,7 @@
 #include "core/text_model.h"
 #include "data/dataset.h"
 #include "geo/poi.h"
-#include "nn/graph_optimizer.h"
+#include "nn/plan_executor.h"
 #include "util/status.h"
 
 namespace hisrect::core {
@@ -145,8 +144,7 @@ class HisRectModel {
   /// Plan-replay scoring path (config_.plan.enabled): records one eval-mode
   /// plan per (word count a, word count b) on first use, then replays it
   /// from a pooled workspace. Thread-safe; bitwise-identical to the eager
-  /// ScorePairEncoded — except with config_.plan.quantize, where steady
-  /// state runs int8 kernels (AUC-gated, not bitwise).
+  /// ScorePairEncoded, fused or not.
   double ScorePairPlanned(const EncodedProfile& a,
                           const EncodedProfile& b) const;
 
@@ -181,11 +179,6 @@ class HisRectModel {
     std::mutex mu;
     nn::PlanCache plans;
     std::vector<std::unique_ptr<nn::PlanRun>> pool;
-    /// In-flight int8 calibration (config_.plan.quantize only), keyed like
-    /// `plans`: a shape scores through its fused fp32 plan under the
-    /// calibrator until enough executions are observed, then the quantized
-    /// plan is Put into `plans` and the entry is erased. Guarded by `mu`.
-    std::unordered_map<uint64_t, std::unique_ptr<nn::Calibrator>> calibrating;
   };
   mutable PlannedScorer planned_scorer_;
 };

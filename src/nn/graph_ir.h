@@ -56,18 +56,9 @@ enum class OpKind : uint8_t {
   kFusedLinearTanh,  // MatMul + AddBroadcastRow + Tanh
   // LSTM-gate preactivation, inference plans only: in = [x, h, W, U, bias],
   // out = AddBroadcastRow(Add(MatMul(x, W), MatMul(h, U)), bias) bitwise.
-  // No backward (GraphOptimizer only emits it into gradient-free chains).
+  // Forward-only: its schema has no backward (GraphOptimizer only emits it
+  // into gradient-free chains).
   kFusedDualLinear,
-  // Int8 inference kernels (QuantizeGraph): per-output-column symmetric
-  // weight quantization, fp32 accumulation epilogue. iattr0 indexes
-  // Graph::quant_linears; weights are baked into Graph::qweights at
-  // quantize time. Inference-only — their backward CHECK-fails.
-  kQuantLinear,
-  kQuantLinearRelu,
-  kQuantLinearTanh,
-  // Quantized kFusedDualLinear: iattr0/iattr1 index the two
-  // Graph::quant_linears entries (W with x's scale, U with h's scale).
-  kQuantDualLinear,
   kNumOpKinds,
 };
 
@@ -113,16 +104,6 @@ struct Instr {
   int64_t iattr1 = 0;
 };
 
-/// Per-site metadata for one kQuantLinear* instr (Instr::iattr0 indexes the
-/// Graph::quant_linears table). Weights are quantized per output column
-/// (symmetric, zero-point 0) and stored transposed — cols rows of k int8
-/// each — so the inner dot product walks both operands contiguously.
-struct QuantLinearInfo {
-  size_t qweight_offset = 0;  // into Graph::qweights (cols * k int8 values)
-  size_t scale_offset = 0;    // into Graph::qscales (cols per-column scales)
-  float in_scale = 1.0f;      // static activation scale from calibration
-};
-
 /// A recorded, memory-planned computation. Immutable after
 /// GraphRecorder::Finish; shared by value across threads (execution state
 /// lives in PlanRun, not here — replaying a Graph is const and re-entrant).
@@ -150,12 +131,6 @@ struct Graph {
   int32_t output_buffer = -1;
   /// Its gradient buffer (training graphs; receives the backward seed).
   int32_t output_grad_buffer = -1;
-  /// Int8 side tables (QuantizeGraph only; empty on fp32 graphs). Weights
-  /// are BAKED at quantize time — a quantized plan must be discarded if the
-  /// parameters it was built from change (re-fit / checkpoint restore).
-  std::vector<int8_t> qweights;
-  std::vector<float> qscales;
-  std::vector<QuantLinearInfo> quant_linears;
   /// Arena size in floats, from MemoryPlanner.
   size_t arena_floats = 0;
   /// Planner debug info for tests: per-buffer [birth, death] positions on
@@ -189,7 +164,8 @@ struct OpSchema {
       const Instr& instr, const std::vector<BufferDesc>& buffers) = nullptr;
   void (*forward)(const Graph& g, const Instr& instr,
                   const ExecState& st) = nullptr;
-  /// Null for ops that can never receive a gradient (none today).
+  /// Null for forward-only ops (kFusedDualLinear); MemoryPlanner CHECK-fails
+  /// on a backward step of such a kind.
   void (*backward)(const Graph& g, const Instr& instr,
                    const ExecState& st) = nullptr;
   /// Backward reads the op's own output value (Tanh/Sigmoid/L2NormalizeRow).

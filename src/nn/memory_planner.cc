@@ -138,6 +138,8 @@ void PlanMemory(Graph* graph) {
     const int32_t pos = forward_len + static_cast<int32_t>(p);
     const Instr& ins = graph->instrs[graph->backward_order[p]];
     const OpSchema& schema = GetOpSchema(ins.kind);
+    CHECK(schema.backward != nullptr)
+        << "backward step " << p << " runs forward-only op " << schema.name;
     if (schema.needs_parent_values_bwd) {
       for (int32_t in : ins.in) extend(in, pos);
     }

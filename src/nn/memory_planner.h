@@ -29,7 +29,8 @@ namespace hisrect::nn {
 /// thread count or timing — plan layouts are bitwise-reproducible.
 ///
 /// Fills BufferDesc::offset, Graph::arena_floats, and Graph::live, and
-/// drives the `hisrect.nn.arena_bytes` high-water gauge.
+/// drives the `hisrect.nn.arena_bytes` high-water gauge. CHECK-fails, naming
+/// the op, when a backward step's kind is forward-only (no schema backward).
 void PlanMemory(Graph* graph);
 
 /// Recomputes Graph::zero_before from Graph::backward_order: each arena grad

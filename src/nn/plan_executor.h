@@ -15,18 +15,11 @@ namespace hisrect::nn {
 /// model configs. Off by default: the eager tape stays the reference path.
 struct PlanOptions {
   bool enabled = false;
-  /// Run GraphOptimizer fusion (Linear+ReLU / Linear+Tanh / MatMul+bias)
-  /// over recorded plans. Fused fp32 plans stay bitwise-identical to the
-  /// eager tape; safe for training and serving. Implies nothing else.
+  /// Run GraphOptimizer fusion (Linear+ReLU / Linear+Tanh / MatMul+bias,
+  /// plus the LSTM-gate dual linear in inference plans) over recorded plans.
+  /// Fused plans stay bitwise-identical to the eager tape, so every path —
+  /// training, offline eval, serving — scores the same bits either way.
   bool fuse = false;
-  /// Serving-only: after `calibration_samples` fp32 executions per plan
-  /// shape, rebuild the plan with int8 fused-linear kernels (per-channel
-  /// symmetric weights, fp32 accumulation epilogue). NOT bitwise — judgement
-  /// quality is gated by AUC deltas instead. Implies `fuse`. Ignored by the
-  /// trainers (quantized plans have no backward).
-  bool quantize = false;
-  /// Executions observed per plan shape before quantizing.
-  int calibration_samples = 16;
 };
 
 /// Per-run input binder. Inputs must be added in the exact order the leaves

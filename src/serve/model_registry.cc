@@ -81,8 +81,8 @@ util::Status ModelRegistry::WarmUp(const core::HisRectModel& model) const {
     return util::Status::Ok();
   }
   // Same (i, i*7+3) pairing walk the serving bench and CLI use, so a warmed
-  // model has recorded (and calibrated) exactly the shapes live traffic
-  // replays, and its encoder cache holds the working set.
+  // model has recorded exactly the shapes live traffic replays, and its
+  // encoder cache holds the working set.
   for (size_t i = 0; i < options_.warmup_pairs; ++i) {
     const data::Profile& a = pool[i % pool.size()];
     const data::Profile& b = pool[(i * 7 + 3) % pool.size()];

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/hisrect_model.h"
+#include "obs/metrics.h"
 #include "tests/test_common.h"
 
 namespace hisrect::core {
@@ -176,22 +181,70 @@ TEST(ModelTest, SaveLoadRoundTripPreservesScores) {
   const std::string path = "/tmp/hisrect_model_roundtrip.bin";
   ASSERT_TRUE(trained.Save(path).ok());
 
-  HisRectModel restored(FastConfig());
-  restored.InitializeForLoad(dataset, text_model);
-  // Untrained weights differ from the trained ones...
+  // Up to 16 test-profile pairs; each distinct (word count, word count) is
+  // its own plan shape for the planned configs.
   const auto& p = dataset.test.profiles;
-  double untrained = restored.ScorePair(p[0], p[1]);
-  ASSERT_TRUE(restored.Load(path).ok());
-  // ...but after Load the scores match exactly.
-  EXPECT_DOUBLE_EQ(restored.ScorePair(p[0], p[1]),
-                   trained.ScorePair(p[0], p[1]));
-  auto trained_top = trained.InferPoi(p[0], 3);
-  auto restored_top = restored.InferPoi(p[0], 3);
-  ASSERT_EQ(trained_top.size(), restored_top.size());
-  for (size_t i = 0; i < trained_top.size(); ++i) {
-    EXPECT_EQ(trained_top[i].first, restored_top[i].first);
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < std::min<size_t>(p.size(), 16); ++i) {
+    pairs.emplace_back(i, (i * 7 + 3) % p.size());
   }
-  (void)untrained;
+  std::vector<double> expected;
+  for (const auto& [i, j] : pairs) {
+    expected.push_back(trained.ScorePair(p[i], p[j]));
+  }
+  auto trained_top = trained.InferPoi(p[0], 3);
+
+  // The one checkpoint restores into every scoring path: eager, recorded
+  // plan, and fused plan all score bitwise-equal to the trained eager model.
+  struct Variant {
+    const char* name;
+    bool plan;
+    bool fuse;
+  };
+  for (const Variant& variant : {Variant{"eager", false, false},
+                                 Variant{"plan", true, false},
+                                 Variant{"plan+fuse", true, true}}) {
+    SCOPED_TRACE(variant.name);
+    HisRectModelConfig config = FastConfig();
+    config.plan.enabled = variant.plan;
+    config.plan.fuse = variant.fuse;
+    HisRectModel restored(config);
+    restored.InitializeForLoad(dataset, text_model);
+    // Scoring untrained weights first records a plan before Load; plans
+    // read parameters on every replay, so the restore still takes effect.
+    (void)restored.ScorePair(p[0], p[1]);
+    ASSERT_TRUE(restored.Load(path).ok());
+    auto score_all = [&] {
+      std::vector<double> scores;
+      for (const auto& [i, j] : pairs) {
+        scores.push_back(restored.ScorePair(p[i], p[j]));
+      }
+      return scores;
+    };
+    const std::vector<double> first = score_all();
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      hisrect::testing::ExpectBitwiseEqual(first[k], expected[k],
+                                           "pair " + std::to_string(k));
+    }
+    if (variant.plan) {
+      // Every shape is recorded now: a second pass replays without a
+      // single tensor allocation and returns the same bits.
+      obs::Counter* allocs = obs::MetricsRegistry::Global().GetCounter(
+          "hisrect.nn.tensor_allocs");
+      const int64_t before = allocs->Value();
+      const std::vector<double> second = score_all();
+      EXPECT_EQ(allocs->Value() - before, 0);
+      for (size_t k = 0; k < pairs.size(); ++k) {
+        hisrect::testing::ExpectBitwiseEqual(
+            second[k], expected[k], "second pass, pair " + std::to_string(k));
+      }
+    }
+    auto restored_top = restored.InferPoi(p[0], 3);
+    ASSERT_EQ(trained_top.size(), restored_top.size());
+    for (size_t i = 0; i < trained_top.size(); ++i) {
+      EXPECT_EQ(trained_top[i].first, restored_top[i].first);
+    }
+  }
   std::remove(path.c_str());
 }
 

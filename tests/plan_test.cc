@@ -7,6 +7,7 @@
 #include "nn/graph_ir.h"
 #include "nn/graph_recorder.h"
 #include "nn/matrix.h"
+#include "nn/memory_planner.h"
 #include "nn/ops.h"
 #include "nn/plan_executor.h"
 #include "nn/tensor.h"
@@ -150,13 +151,53 @@ int64_t TensorAllocs() {
 
 TEST(PlanRegistryTest, EveryOpKindIsRegistered) {
   for (uint8_t k = 0; k < static_cast<uint8_t>(nn::OpKind::kNumOpKinds); ++k) {
-    const nn::OpSchema& schema = nn::GetOpSchema(static_cast<nn::OpKind>(k));
+    const nn::OpKind kind = static_cast<nn::OpKind>(k);
+    const nn::OpSchema& schema = nn::GetOpSchema(kind);
     EXPECT_STRNE(schema.name, "?") << "kind " << static_cast<int>(k);
     EXPECT_NE(schema.forward, nullptr) << schema.name;
-    EXPECT_NE(schema.backward, nullptr) << schema.name;
+    // Exactly one kind is forward-only: the inference-plan dual linear.
+    if (kind == nn::OpKind::kFusedDualLinear) {
+      EXPECT_EQ(schema.backward, nullptr) << schema.name;
+    } else {
+      EXPECT_NE(schema.backward, nullptr) << schema.name;
+    }
     EXPECT_NE(schema.infer_shape, nullptr) << schema.name;
     EXPECT_GE(schema.max_arity, schema.min_arity) << schema.name;
   }
+}
+
+// A training plan whose backward program reaches a forward-only kind is
+// rejected when its memory is planned, before any kernel could run.
+TEST(PlanRegistryDeathTest, PlannerRejectsBackwardThroughForwardOnlyKind) {
+  using Kind = nn::BufferDesc::Kind;
+  nn::Graph g;
+  g.training = true;
+  auto add_buffer = [&g](Kind kind, uint32_t rows, uint32_t ref) {
+    nn::BufferDesc b;
+    b.kind = kind;
+    b.rows = rows;
+    b.cols = 2;
+    b.ref = ref;
+    g.buffers.push_back(b);
+    return static_cast<int32_t>(g.buffers.size()) - 1;
+  };
+  // in = [x 1x2, h 1x2, W 2x2, U 2x2, bias 1x2], all per-run inputs.
+  nn::Instr dual;
+  dual.kind = nn::OpKind::kFusedDualLinear;
+  for (uint32_t i = 0; i < 5; ++i) {
+    dual.in.push_back(add_buffer(Kind::kInput, i == 2 || i == 3 ? 2 : 1, i));
+    dual.in_grad.push_back(-1);
+  }
+  dual.out = add_buffer(Kind::kArena, 1, 0);
+  dual.out_grad = add_buffer(Kind::kArenaGrad, 1, 0);
+  dual.aux = add_buffer(Kind::kAux, 1, 0);
+  g.instrs.push_back(dual);
+  g.backward_order = {0};
+  g.num_inputs = 5;
+  g.output_buffer = dual.out;
+  g.output_grad_buffer = dual.out_grad;
+  nn::ComputeZeroBefore(&g, g.output_grad_buffer);
+  EXPECT_DEATH(nn::PlanMemory(&g), "forward-only op FusedDualLinear");
 }
 
 TEST(PlanTest, ForwardAndBackwardBitwiseMatchEagerTape) {

@@ -18,9 +18,7 @@
 // `--plan` runs training and scoring through the recorded-plan replay path
 // (nn/plan_executor.h): zero steady-state tensor allocations,
 // bitwise-identical results — see DESIGN.md §11. `--fuse` adds the
-// GraphOptimizer fusion pass (still bitwise-identical, DESIGN.md §12);
-// `--int8` additionally scores/evals through calibrated int8 fused-linear
-// kernels (AUC-gated, not bitwise; training stays fp32).
+// GraphOptimizer fusion pass (still bitwise-identical, DESIGN.md §12).
 //
 // Fault tolerance: `--checkpoint-dir` + `--checkpoint-every` write periodic
 // HRCT2 checkpoints of the full trainer state; a re-run with `--resume`
@@ -84,9 +82,6 @@ struct CliOptions {
   /// GraphOptimizer kernel fusion on recorded plans (bitwise-identical;
   /// applies to training and scoring). Implies --plan.
   bool fuse = false;
-  /// Calibrated int8 fused-linear kernels for scoring/eval only — trainers
-  /// always run fp32. Implies --fuse and --plan.
-  bool int8 = false;
   /// Fail-point spec armed before running (testing/drills).
   std::string failpoints;
   /// Observability exports; empty = disabled (the default).
@@ -101,7 +96,7 @@ int Usage() {
                "[--scale S] [--seed N]\n"
                "                   [--ssl-steps N] [--judge-steps N] "
                "[--threads N] [--shards N]\n"
-               "                   [--pipeline-shards N] [--plan] [--fuse] [--int8]\n"
+               "                   [--pipeline-shards N] [--plan] [--fuse]\n"
                "                   [--checkpoint-dir DIR] "
                "[--checkpoint-every N] [--keep-last N] [--resume]\n"
                "                   [--failpoints SPEC]\n"
@@ -169,8 +164,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
       options.plan = true;
     } else if (arg == "--fuse") {
       options.fuse = true;
-    } else if (arg == "--int8") {
-      options.int8 = true;
     } else if (arg == "--failpoints") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -237,9 +230,8 @@ core::HisRectModelConfig ModelConfig(const CliOptions& options) {
   config.judge_trainer.num_shards = options.shards;
   config.ssl.affinity.num_shards = options.pipeline_shards;
   config.encode_shards = options.pipeline_shards;
-  config.plan.enabled = options.plan || options.fuse || options.int8;
-  config.plan.fuse = options.fuse || options.int8;
-  config.plan.quantize = options.int8;
+  config.plan.enabled = options.plan || options.fuse;
+  config.plan.fuse = options.fuse;
   config.seed = options.seed;
   core::CheckpointOptions checkpoint;
   checkpoint.dir = options.checkpoint_dir;

@@ -7,7 +7,7 @@
 //                 [--max-batch-queue N] [--cache-capacity N] [--requests N]
 //                 [--deadline-ms N] [--priority interactive|batch]
 //                 [--metrics-out FILE] [--failpoints SPEC]
-//                 [--plan] [--fuse] [--int8]
+//                 [--plan] [--fuse]
 //                 [--admin-port N] [--linger-ms N] [--router-shards N]
 //
 // Loads a model saved by `hisrect_cli train --out FILE` (or trains one from
@@ -99,12 +99,9 @@ struct ServeCliOptions {
   std::string failpoints;
   /// Recorded-plan scoring (nn/plan_executor.h): --plan replays static
   /// memory-planned graphs, --fuse adds the GraphOptimizer kernel-fusion
-  /// pass (both bitwise-identical to eager), --int8 swaps in calibrated
-  /// int8 fused-linear kernels (AUC-gated, not bitwise). Each stronger flag
-  /// implies the weaker ones.
+  /// pass and implies --plan. Both are bitwise-identical to eager.
   bool plan = false;
   bool fuse = false;
-  bool int8 = false;
   /// Admin endpoint port: -1 off (default), 0 ephemeral, else fixed.
   int admin_port = -1;
   /// >= 2 serves through a hash-sharded ShardRouter (DESIGN.md §15);
@@ -128,7 +125,7 @@ int Usage() {
                "                     [--deadline-ms N] "
                "[--priority interactive|batch]\n"
                "                     [--metrics-out FILE] [--failpoints SPEC]\n"
-               "                     [--plan] [--fuse] [--int8]\n"
+               "                     [--plan] [--fuse]\n"
                "                     [--admin-port N] [--linger-ms N] "
                "[--router-shards N]\n"
                "\n"
@@ -224,8 +221,6 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
       options.plan = true;
     } else if (arg == "--fuse") {
       options.fuse = true;
-    } else if (arg == "--int8") {
-      options.int8 = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -320,9 +315,8 @@ int Run(int argc, char** argv) {
   config.judge_trainer.steps = options.judge_steps;
   config.seed = options.seed;
   config.encoder_options.cache_capacity = options.cache_capacity;
-  config.plan.enabled = options.plan || options.fuse || options.int8;
-  config.plan.fuse = options.fuse || options.int8;
-  config.plan.quantize = options.int8;
+  config.plan.enabled = options.plan || options.fuse;
+  config.plan.fuse = options.fuse;
 
   const std::vector<data::Profile>& pool = dataset.test.profiles;
   if (pool.size() < 2) {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Builds everything in Release, runs the tier-1 test suite as a fail-fast
-# gate, then runs the micro-inference, serving, and parallel throughput
-# benches and diffs bench_out/BENCH_parallel.json against the
-# previous run. Exits non-zero when best-thread-count throughput (steps/sec
-# or pairs/sec) regressed by more than 20%, when the determinism check
-# inside bench_training_throughput failed, or when the recorded-plan path
-# broke its contract (zero steady-state allocations, bitwise-equal to eager).
+# Builds everything in Release, runs the tier-1 test suite and the
+# cross-build determinism check as fail-fast gates, then runs the
+# micro-inference, serving, and parallel throughput benches and diffs
+# bench_out/BENCH_parallel.json against the previous run. Exits non-zero
+# when best-thread-count throughput (steps/sec or pairs/sec) regressed by
+# more than 20%, when the determinism check inside
+# bench_training_throughput failed, or when the recorded-plan path broke
+# its contract (zero steady-state allocations, bitwise-equal to eager).
 #
 # Knobs:
 #   BUILD_DIR          build tree to use        (default: build-release)
@@ -22,6 +23,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # Fail-fast correctness gate: never record bench numbers from a tree whose
 # tier-1 suite is red. (cd rather than ctest --test-dir for older ctest.)
 (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure)
+
+# Cross-build determinism gate: default vs -march=native builds, eager vs
+# plan+fuse, 1 vs 4 threads must all save byte-identical checkpoints.
+bash tools/crossbuild_determinism.sh
 
 # Fault-tolerance gate: the robustness suite (checkpoint round-trips,
 # corruption rejection, kill-and-resume bitwise equality, divergence
@@ -210,48 +215,6 @@ print(
     f"{replay['dropped']} dropped across the rollback drill, balance "
     f"max/min {balance['max_min_ratio']:.2f} (bound {balance['bound']})"
 )
-EOF
-
-# Optimized-plan serving gate: fp32 variants bitwise with eager, every
-# planned variant at zero steady-state allocs, the int8 variant actually
-# quantized with AUC within 0.5% absolute of the fp32 baseline, and
-# plan+fuse+int8 clearing 1.2x the plain recorded-plan scoring throughput.
-python3 - "$OUT_DIR/BENCH_serving.json" <<'EOF'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-variants = {v["name"]: v for v in doc.get("variants", [])}
-missing = {"baseline", "plan", "plan_fuse", "plan_fuse_int8"} - set(variants)
-if missing:
-    print(f"run_benches: BENCH_serving.json missing variants {sorted(missing)}")
-    sys.exit(1)
-failed = False
-for name, v in variants.items():
-    if v["fp32"] and v["matches_eager"] is not True:
-        print(f"run_benches: variant {name} diverged bitwise from eager")
-        failed = True
-    if name != "baseline" and v["steady_state_allocs"] != 0:
-        print(f"run_benches: variant {name} steady-state allocs = "
-              f"{v['steady_state_allocs']}; want 0")
-        failed = True
-int8 = variants["plan_fuse_int8"]
-if int8["quantized_plans"] <= 0:
-    print("run_benches: int8 variant never quantized a plan")
-    failed = True
-auc_delta = abs(int8["auc"] - variants["baseline"]["auc"])
-if auc_delta > 0.005:
-    print(f"run_benches: int8 AUC delta {auc_delta:.4f} exceeds 0.005")
-    failed = True
-speedup = int8["pairs_per_sec"] / variants["plan"]["pairs_per_sec"]
-if speedup < 1.2:
-    print(f"run_benches: plan+fuse+int8 scoring speedup {speedup:.2f}x vs "
-          f"plan; want >= 1.2x")
-    failed = True
-if failed:
-    sys.exit(1)
-print(f"run_benches: serving variants OK — int8 {speedup:.2f}x vs plan, "
-      f"AUC delta {auc_delta:.4f}")
 EOF
 
 mkdir -p "$OUT_DIR"

@@ -33,7 +33,7 @@ CTEST_LABEL=${CTEST_LABEL:-}
 label_for() {
   case "$1" in
     thread) echo "obs|serve|fusion|router" ;;  # ctest -L takes a regex
-    *) echo "robustness|plan|fusion|quant" ;;
+    *) echo "robustness|plan|fusion" ;;
   esac
 }
 
