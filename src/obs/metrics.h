@@ -101,8 +101,9 @@ class Counter {
   internal::Int64Stripe stripes_[kMetricStripes];
 };
 
-/// Last-written int64 value (single logical writer; concurrent writers race
-/// benignly to "some written value").
+/// Current int64 level. Set() suits a single logical writer (concurrent
+/// setters race benignly to "some written value"); Add() suits many writers
+/// that each own a share of the level, e.g. every server's pending count.
 class Gauge {
  public:
   explicit Gauge(std::string name) : name_(std::move(name)) {}
@@ -110,6 +111,9 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
   void ResetForTest() { Set(0); }

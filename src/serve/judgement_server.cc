@@ -1,6 +1,7 @@
 #include "serve/judgement_server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -22,6 +23,9 @@ const std::vector<double>& BatchSizeBoundaries() {
   return *boundaries;
 }
 
+/// Pending requests in the whole process: every server adds its own
+/// admissions and subtracts its own pops and cancellations, so under a
+/// ShardRouter the gauge is the fleet's depth, not the last shard's.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge =
       obs::MetricsRegistry::Global().GetGauge("hisrect.serve.queue_depth");
@@ -161,7 +165,7 @@ util::Result<Ticket> JudgementServer::Submit(JudgementRequest request) {
     queues_[klass].push_back(std::move(pending));
     ++stats_.admitted;
     admitted->Increment();
-    QueueDepthGauge()->Set(static_cast<int64_t>(PendingCountLocked()));
+    QueueDepthGauge()->Add(1);
   }
   wake_.notify_one();
   return ticket;
@@ -184,7 +188,7 @@ bool JudgementServer::Cancel(uint64_t id) {
     }
     if (!found) return false;  // Already batched or resolved: too late.
     ++stats_.cancelled;
-    QueueDepthGauge()->Set(static_cast<int64_t>(PendingCountLocked()));
+    QueueDepthGauge()->Add(-1);
   }
   CancelledCounter()->Increment();
   const auto resolved_at = std::chrono::steady_clock::now();
@@ -281,14 +285,20 @@ void JudgementServer::BatchLoop() {
       if (stopping_) return;  // Drained: every admitted request resolved.
       continue;
     }
-    // A batch window opens at the first pending request: flush on size or
+    // Work-conserving by default: the batch forms now, and whatever arrived
+    // while the previous batch scored coalesces into it. An opt-in window
+    // opens at the first pending request instead and flushes on size or
     // after max_wait_us, whichever comes first. Shutdown flushes
     // immediately — draining beats batching efficiency on the way out.
-    const auto wait_deadline = std::chrono::steady_clock::now() +
-                               std::chrono::microseconds(options_.max_wait_us);
-    while (!stopping_ && PendingCountLocked() < options_.batch_size) {
-      if (wake_.wait_until(lock, wait_deadline) == std::cv_status::timeout) {
-        break;
+    if (options_.max_wait_us > 0) {
+      const auto wait_deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::microseconds(options_.max_wait_us);
+      while (!stopping_ && PendingCountLocked() < options_.batch_size) {
+        if (wake_.wait_until(lock, wait_deadline) ==
+            std::cv_status::timeout) {
+          break;
+        }
       }
     }
     // Form the batch in strict priority order, expiring overdue requests as
@@ -311,7 +321,9 @@ void JudgementServer::BatchLoop() {
       }
       batch.push_back(std::move(pending));
     }
-    QueueDepthGauge()->Set(static_cast<int64_t>(PendingCountLocked()));
+    QueueDepthGauge()->Add(
+        -static_cast<int64_t>(batch.size() + expired.size()));
+    if (!batch.empty()) ++stats_.batches;
     // Snapshot the published model under the lock: a SwapModel racing this
     // flush either lands before (batch scores on the new version) or after
     // (batch finishes on the old one) — never mid-batch.
@@ -337,10 +349,6 @@ void JudgementServer::ProcessBatch(
   static obs::Histogram* batch_sizes =
       obs::MetricsRegistry::Global().GetHistogram("hisrect.serve.batch_size",
                                                   BatchSizeBoundaries());
-  static obs::Histogram* latencies =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "hisrect.serve.request_latency_seconds",
-          obs::TimeHistogramBoundaries());
   static obs::Counter* batches = obs::MetricsRegistry::Global().GetCounter(
       "hisrect.serve.batches");
   batch_sizes->Observe(static_cast<double>(batch.size()));
@@ -359,7 +367,6 @@ void JudgementServer::ProcessBatch(
     {
       std::lock_guard<std::mutex> lock(mutex_);
       stats_.aborted += batch.size();
-      ++stats_.batches;
     }
     const auto aborted_at = std::chrono::steady_clock::now();
     for (Pending& pending : batch) {
@@ -371,84 +378,91 @@ void JudgementServer::ProcessBatch(
     return;
   }
 
-  // The existing parallel inference path: per-request slots over the global
-  // pool, encoder-cache handles (no deep copy on hits), ScorePairEncoded.
-  // Identical arithmetic to the offline PairEvaluator path, so served
-  // scores are bitwise-equal to a batch eval of the same pairs. With stage
-  // tracing on, each request additionally stamps its encode/score
+  // Pull-based dispatch: min(n, workers) tasks take request indices from
+  // one cursor, so no worker idles while another still holds a range, and
+  // a one-request batch runs inline on this thread through ParallelFor's
+  // one-shard path. Which thread scores a request never changes how: each
+  // runs the offline PairEvaluator arithmetic, so served scores stay
+  // bitwise-equal to a batch eval of the same pairs.
+  util::ThreadPool& pool = util::ThreadPool::Global();
+  const size_t tasks = std::min(batch.size(), pool.num_threads());
+  std::atomic<size_t> cursor{0};
+  util::ParallelFor(pool, batch.size(), tasks, [&](size_t, size_t, size_t) {
+    for (size_t i = cursor.fetch_add(1); i < batch.size();
+         i = cursor.fetch_add(1)) {
+      ScoreAndResolve(batch[i], model, version, formed_at);
+    }
+  });
+}
+
+void JudgementServer::ScoreAndResolve(
+    Pending& pending, const core::HisRectModel& model, uint64_t version,
+    std::chrono::steady_clock::time_point formed_at) {
+  static obs::Histogram* latencies =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "hisrect.serve.request_latency_seconds",
+          obs::TimeHistogramBoundaries());
+  // Encoder-cache handles (no deep copy on hits), then ScorePairEncoded.
+  // With stage tracing on, the request also stamps its encode/score
   // boundaries — clock reads only, nothing that feeds the arithmetic.
   using TimePoint = std::chrono::steady_clock::time_point;
   const bool tracing = traces_ != nullptr;
-  std::vector<double> scores(batch.size());
-  std::vector<TimePoint> encode_start, score_start, score_end;
-  if (tracing) {
-    encode_start.resize(batch.size());
-    score_start.resize(batch.size());
-    score_end.resize(batch.size());
-  }
-  util::ParallelFor(batch.size(), [&](size_t /*shard*/, size_t begin,
-                                      size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      if (tracing) encode_start[i] = std::chrono::steady_clock::now();
-      core::EncodedProfileHandle a = model.Encode(batch[i].request.a);
-      core::EncodedProfileHandle b = model.Encode(batch[i].request.b);
-      if (tracing) score_start[i] = std::chrono::steady_clock::now();
-      scores[i] = model.ScorePairEncoded(*a, *b);
-      if (tracing) score_end[i] = std::chrono::steady_clock::now();
-    }
-  });
+  TimePoint encode_start, score_start, score_end;
+  if (tracing) encode_start = std::chrono::steady_clock::now();
+  core::EncodedProfileHandle a = model.Encode(pending.request.a);
+  core::EncodedProfileHandle b = model.Encode(pending.request.b);
+  if (tracing) score_start = std::chrono::steady_clock::now();
+  const double score = model.ScorePairEncoded(*a, *b);
+  if (tracing) score_end = std::chrono::steady_clock::now();
 
-  // Count completions BEFORE fulfilling any promise: a client that wakes on
-  // its future must already see itself in stats().completed.
+  // Count the completion BEFORE fulfilling the promise: a client that wakes
+  // on its future must already see itself in stats().completed.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.completed += batch.size();
-    ++stats_.batches;
+    ++stats_.completed;
   }
   const auto completed_at = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const double latency =
-        std::chrono::duration<double>(completed_at - batch[i].admitted_at)
-            .count();
-    latencies->Observe(latency);
-    const size_t klass = static_cast<size_t>(batch[i].request.priority);
-    if (window_hist_[klass] != nullptr) window_hist_[klass]->Observe(latency);
-    if (tracing) {
-      // Stage boundaries telescope over shared timestamps, so the stage sum
-      // reproduces `latency` exactly (bench_serving and
-      // admin_server_test.cc both assert this accounting).
-      const auto seconds = [](TimePoint from, TimePoint to) {
-        return std::chrono::duration<double>(to - from).count();
-      };
-      StageTrace trace;
-      trace.request_id = batch[i].id;
-      trace.priority = static_cast<uint8_t>(klass);
-      trace.outcome = StageTrace::Outcome::kScored;
-      trace.model_version = version;
-      trace.uid_a = batch[i].request.a.uid;
-      trace.uid_b = batch[i].request.b.uid;
-      trace.queue_seconds = seconds(batch[i].admitted_at, formed_at);
-      trace.batch_seconds = seconds(formed_at, encode_start[i]);
-      trace.encode_seconds = seconds(encode_start[i], score_start[i]);
-      trace.score_seconds = seconds(score_start[i], score_end[i]);
-      trace.resolve_seconds = seconds(score_end[i], completed_at);
-      trace.total_seconds = latency;
-      trace.score = scores[i];
-      traces_->Record(trace);
-      if (latency >= traces_->slow_threshold_seconds()) {
-        SlowExemplar exemplar;
-        exemplar.trace = trace;
-        exemplar.delta_t = batch[i].request.delta_t;
-        exemplar.timeout_us = batch[i].request.timeout_us;
-        traces_->RecordSlow(std::move(exemplar));
-      }
+  const double latency =
+      std::chrono::duration<double>(completed_at - pending.admitted_at)
+          .count();
+  latencies->Observe(latency);
+  const size_t klass = static_cast<size_t>(pending.request.priority);
+  if (window_hist_[klass] != nullptr) window_hist_[klass]->Observe(latency);
+  if (tracing) {
+    // Stage boundaries telescope over shared timestamps, so the stage sum
+    // reproduces `latency` exactly (bench_serving and admin_server_test.cc
+    // both assert this accounting).
+    const auto seconds = [](TimePoint from, TimePoint to) {
+      return std::chrono::duration<double>(to - from).count();
+    };
+    StageTrace trace;
+    trace.request_id = pending.id;
+    trace.priority = static_cast<uint8_t>(klass);
+    trace.outcome = StageTrace::Outcome::kScored;
+    trace.model_version = version;
+    trace.uid_a = pending.request.a.uid;
+    trace.uid_b = pending.request.b.uid;
+    trace.queue_seconds = seconds(pending.admitted_at, formed_at);
+    trace.batch_seconds = seconds(formed_at, encode_start);
+    trace.encode_seconds = seconds(encode_start, score_start);
+    trace.score_seconds = seconds(score_start, score_end);
+    trace.resolve_seconds = seconds(score_end, completed_at);
+    trace.total_seconds = latency;
+    trace.score = score;
+    traces_->Record(trace);
+    if (latency >= traces_->slow_threshold_seconds()) {
+      SlowExemplar exemplar;
+      exemplar.trace = trace;
+      exemplar.delta_t = pending.request.delta_t;
+      exemplar.timeout_us = pending.request.timeout_us;
+      traces_->RecordSlow(std::move(exemplar));
     }
-    Response response;
-    response.judgement = Judgement{scores[i], CoLocatedScore(scores[i])};
-    response.model_version = version;
-    response.latency_seconds = latency;
-    batch[i].promise.set_value(std::move(response));
   }
+  Response response;
+  response.judgement = Judgement{score, CoLocatedScore(score)};
+  response.model_version = version;
+  response.latency_seconds = latency;
+  pending.promise.set_value(std::move(response));
 }
 
 }  // namespace hisrect::serve

@@ -6,13 +6,15 @@
 // A JudgementServer wraps a fitted HisRectModel behind a long-lived,
 // thread-safe submission API: clients Submit (profile, profile, Δt)
 // requests from any thread and receive a Ticket — a std::future of the
-// response plus a cancel handle. A dedicated batcher thread collects
-// admitted requests into micro-batches — flushed when `batch_size` requests
-// are pending or `max_wait_us` has elapsed since the batch opened, whichever
-// comes first — and scores each batch on the existing parallel inference
-// path (ParallelFor over the global pool, encoder-cache handles,
-// ScorePairEncoded). Served scores are bitwise-identical to the offline
-// PairEvaluator path on the same pairs.
+// response plus a cancel handle. A dedicated batcher thread is
+// work-conserving: it forms a batch as soon as a request is pending, and
+// requests that arrive while a batch is scoring join the next one, up to
+// `batch_size` (an opt-in `max_wait_us` window instead holds a batch open
+// for company). Up to one task per pool worker pulls the batch's requests
+// from a shared cursor — a one-request batch scores inline on the batcher
+// thread — through encoder-cache handles and ScorePairEncoded, and each
+// request resolves the moment its own score lands. Served scores are
+// bitwise-identical to the offline PairEvaluator path on the same pairs.
 //
 // Robustness contracts layered on top of that core:
 //  - Priority admission: each request carries a Priority class
@@ -66,12 +68,13 @@ enum class Priority {
 inline constexpr size_t kNumPriorities = 2;
 
 struct ServeOptions {
-  /// Requests per micro-batch; a batch is flushed as soon as this many are
-  /// pending.
+  /// Most requests one micro-batch takes; the rest wait for the next batch.
   size_t batch_size = 32;
-  /// Max time a batch waits for company before a partial flush, in
-  /// microseconds. Bounds the queueing latency a lone request pays.
-  uint64_t max_wait_us = 1000;
+  /// Opt-in batch window, in microseconds. 0 (the default) forms a batch as
+  /// soon as a request is pending. Above 0, a batch opens at the first
+  /// pending request and waits until `batch_size` are pending or this much
+  /// time has passed, whichever comes first.
+  uint64_t max_wait_us = 0;
   /// Admission bound for Priority::kInteractive: Submit rejects with
   /// kUnavailable once this many interactive requests are pending.
   size_t max_queue = 1024;
@@ -233,8 +236,8 @@ class JudgementServer {
   struct Stats {
     uint64_t admitted = 0;
     uint64_t rejected = 0;
-    uint64_t completed = 0;  // scored
-    uint64_t batches = 0;
+    uint64_t completed = 0;  // scored; counted before its promise is set
+    uint64_t batches = 0;    // counted at formation
     uint64_t cancelled = 0;  // resolved kCancelled via Ticket::Cancel
     uint64_t expired = 0;    // resolved kDeadlineExceeded at batch formation
     uint64_t aborted = 0;    // resolved kInternal (serve.score_abort)
@@ -260,6 +263,11 @@ class JudgementServer {
   void ProcessBatch(std::vector<Pending>& batch,
                     const core::HisRectModel& model, uint64_t version,
                     std::chrono::steady_clock::time_point formed_at);
+  /// Scores one request of a formed batch, then counts, traces and resolves
+  /// it. Runs on whichever thread pulled the request.
+  void ScoreAndResolve(Pending& pending, const core::HisRectModel& model,
+                       uint64_t version,
+                       std::chrono::steady_clock::time_point formed_at);
   bool Cancel(uint64_t id);
   size_t PendingCountLocked() const;
   /// Records a trace for a request resolved without scoring (expired /

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "obs/metrics.h"
 #include "serve/judgement_server.h"
 #include "tests/test_common.h"
+#include "util/fail_point.h"
 
 namespace hisrect::serve {
 namespace {
@@ -164,30 +166,142 @@ TEST_F(ServeFixture, ShutdownIsIdempotent) {
 
 // Golden contract: a served score is bitwise-identical to the offline
 // ScorePair on the same profiles — batching and threading change nothing.
+// The default options cover the work-conserving path (one-request batches
+// scored inline on the batcher, the shared cursor, per-request resolution);
+// the explicit window covers partial and full batches on the pool.
 TEST_F(ServeFixture, ServedScoresBitwiseMatchOffline) {
-  ServeOptions options;
-  options.batch_size = 3;  // Forces multiple partial + full batches.
-  options.max_wait_us = 1000;
-  JudgementServer server(model_, options);
+  ServeOptions windowed;
+  windowed.batch_size = 3;  // Forces multiple partial + full batches.
+  windowed.max_wait_us = 1000;
+  for (const ServeOptions& options : {ServeOptions{}, windowed}) {
+    SCOPED_TRACE(::testing::Message() << "max_wait_us "
+                                      << options.max_wait_us);
+    JudgementServer server(model_, options);
 
-  const size_t pairs = 8;
+    const size_t pairs = 8;
+    std::vector<Ticket> tickets;
+    for (size_t i = 0; i < pairs; ++i) {
+      auto result = server.Submit(RequestFor(i, i + 2));
+      ASSERT_TRUE(result.ok());
+      tickets.push_back(std::move(result).value());
+    }
+    for (size_t i = 0; i < pairs; ++i) {
+      ASSERT_EQ(tickets[i].future().wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+      util::Result<Response> response = tickets[i].future().get();
+      ASSERT_TRUE(response.ok());
+      double served = response.value().judgement.score;
+      double offline = model_->ScorePair(dataset_->test.profiles[i],
+                                         dataset_->test.profiles[i + 2]);
+      hisrect::testing::ExpectBitwiseEqual(served, offline,
+                                           "served vs offline score");
+    }
+  }
+}
+
+// Work-conserving default: a lone request forms its batch at once instead
+// of waiting out a window for company that never comes. Compared with an
+// otherwise identical 1 ms-window server, one request each in turn, on the
+// part of latency_seconds that is not the request's own encode and score:
+// under TSan one pair takes ~12 ms to score, and that time alone varies by
+// more than the window.
+TEST_F(ServeFixture, LoneRequestSkipsTheBatchWindow) {
+  ServeOptions lone_options;
+  // Traces land in one of 8 stripes per recording thread; the batcher's
+  // stripe must hold all 29 of the lone server's requests.
+  lone_options.stage_trace_capacity = 1024;
+  ServeOptions windowed_options = lone_options;
+  windowed_options.max_wait_us = 1000;
+  JudgementServer lone_server(model_, lone_options);
+  JudgementServer windowed_server(model_, windowed_options);
+  const auto serve_one = [](JudgementServer& server, size_t i) {
+    auto result = server.Submit(RequestFor(i % 8, i % 8 + 2));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    util::Result<Response> response = std::move(result).value().future().get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  };
+  // Warm the encoder cache first, so neither side pays the cold encodes.
+  for (size_t i = 0; i < 8; ++i) serve_one(lone_server, i);
+  static constexpr size_t kRequests = 21;
+  for (size_t i = 0; i < kRequests; ++i) {
+    serve_one(lone_server, i);
+    serve_one(windowed_server, i);
+  }
+  const auto median_wait = [](const JudgementServer& server) {
+    std::vector<double> waits;
+    for (const StageTrace& trace :
+         server.stage_traces()->Recent(kRequests)) {
+      waits.push_back(trace.total_seconds - trace.encode_seconds -
+                      trace.score_seconds);
+    }
+    if (waits.size() != kRequests) {
+      ADD_FAILURE() << waits.size() << " traces, want " << kRequests;
+      return 0.0;
+    }
+    std::sort(waits.begin(), waits.end());
+    return waits[kRequests / 2];
+  };
+  const double lone = median_wait(lone_server);
+  const double windowed = median_wait(windowed_server);
+  EXPECT_LE(lone, windowed - 0.0005)
+      << "median wait " << lone * 1e3 << " ms without a window vs "
+      << windowed * 1e3 << " ms with a 1 ms window";
+}
+
+// Requests that arrive while a batch scores coalesce into the next batch,
+// up to batch_size, and each one resolves already counted as completed.
+TEST_F(ServeFixture, QueuedRequestsCoalesceIntoTheNextBatch) {
+  ServeOptions options;
+  options.batch_size = 4;
+  JudgementServer server(model_, options);
+  const auto batch_size_buckets = [] {
+    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Scrape();
+    const obs::MetricValue* metric =
+        snapshot.Find("hisrect.serve.batch_size");
+    return metric == nullptr ? std::vector<uint64_t>()
+                             : metric->bucket_counts;
+  };
+  // Empty until the first batch of the process registers the histogram.
+  std::vector<uint64_t> buckets_before = batch_size_buckets();
+
+  // Stall the first batch long enough to queue five requests behind it.
+  util::FailPoint::Arm("serve.slow_batch", 1, /*payload=*/300);
   std::vector<Ticket> tickets;
-  for (size_t i = 0; i < pairs; ++i) {
+  auto first = server.Submit(RequestFor(0, 2));
+  ASSERT_TRUE(first.ok());
+  tickets.push_back(std::move(first).value());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().batches == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (size_t i = 1; i <= 5; ++i) {
     auto result = server.Submit(RequestFor(i, i + 2));
     ASSERT_TRUE(result.ok());
     tickets.push_back(std::move(result).value());
   }
-  for (size_t i = 0; i < pairs; ++i) {
+
+  for (size_t i = 0; i < tickets.size(); ++i) {
     ASSERT_EQ(tickets[i].future().wait_for(std::chrono::seconds(30)),
               std::future_status::ready);
-    util::Result<Response> response = tickets[i].future().get();
-    ASSERT_TRUE(response.ok());
-    double served = response.value().judgement.score;
-    double offline = model_->ScorePair(dataset_->test.profiles[i],
-                                       dataset_->test.profiles[i + 2]);
-    hisrect::testing::ExpectBitwiseEqual(served, offline,
-                                         "served vs offline score");
+    // Tickets 0..i are ready, so each must already be counted.
+    EXPECT_GE(server.stats().completed, i + 1);
+    EXPECT_TRUE(tickets[i].future().get().ok());
   }
+  util::FailPoint::DisarmAll();
+  EXPECT_EQ(server.stats().batches, 3u);  // 1, then 4, then 1.
+  const std::vector<uint64_t> buckets_after = batch_size_buckets();
+  ASSERT_GE(buckets_after.size(), 4u);
+  buckets_before.resize(buckets_after.size(), 0);
+  // Buckets [1, 2) and [4, 8) of the power-of-two boundaries.
+  EXPECT_EQ(buckets_after[1] - buckets_before[1], 2u);
+  EXPECT_EQ(buckets_after[3] - buckets_before[3], 1u);
+  uint64_t batches_observed = 0;
+  for (size_t b = 0; b < buckets_after.size(); ++b) {
+    batches_observed += buckets_after[b] - buckets_before[b];
+  }
+  EXPECT_EQ(batches_observed, 3u);
 }
 
 // Planned serving path (config.plan.enabled): a planned fit is bitwise-

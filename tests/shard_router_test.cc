@@ -268,6 +268,50 @@ TEST_F(ShardRouterFixture, PerShardShedAndDrainAccounting) {
   EXPECT_EQ(late.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
+// hisrect.serve.queue_depth is one process-wide series. Every shard adds its
+// own admissions and subtracts its own pops and cancellations, so under a
+// router the gauge reads the fleet's pending count, not whichever shard
+// wrote last.
+TEST_F(ShardRouterFixture, QueueDepthGaugeCountsEveryShard) {
+  obs::Gauge* gauge =
+      obs::MetricsRegistry::Global().GetGauge("hisrect.serve.queue_depth");
+  RouterOptions options;
+  options.num_shards = 2;
+  options.shard_options.batch_size = 4096;         // Parked batchers: queues
+  options.shard_options.max_wait_us = 30'000'000;  // hold until Shutdown.
+  ShardRouter router(model_, options);
+  EXPECT_EQ(gauge->Value(), 0);
+
+  // Unequal depths, so no single shard's count equals the fleet's.
+  const size_t want[2] = {3, 2};
+  size_t queued[2] = {0, 0};
+  std::vector<Ticket> tickets;
+  for (size_t i = 0; queued[0] < want[0] || queued[1] < want[1]; ++i) {
+    ASSERT_LT(i, 1000u) << "no pair routed to one of the shards";
+    JudgementRequest request = RequestFor(i, i + 1);
+    const size_t shard = router.ShardFor(request.a.uid, request.b.uid);
+    if (queued[shard] == want[shard]) continue;
+    auto result = router.Submit(std::move(request));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    tickets.push_back(std::move(result).value());
+    ++queued[shard];
+  }
+  ASSERT_EQ(router.queue_depth(), 5u);
+  EXPECT_EQ(gauge->Value(), static_cast<int64_t>(router.queue_depth()));
+
+  ASSERT_TRUE(tickets.front().Cancel());
+  ASSERT_EQ(router.queue_depth(), 4u);
+  EXPECT_EQ(gauge->Value(), static_cast<int64_t>(router.queue_depth()));
+
+  router.Shutdown();
+  for (Ticket& ticket : tickets) {
+    ASSERT_EQ(ticket.future().wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  EXPECT_EQ(router.queue_depth(), 0u);
+  EXPECT_EQ(gauge->Value(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Fleet deploys: all-or-nothing, with full rollback on one shard's failure.
 

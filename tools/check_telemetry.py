@@ -26,13 +26,13 @@ Checks (any subset, per the flags given):
                            (if a "plan" record is present) the recorded-plan
                            path did zero steady-state tensor allocations.
                            If a "router" record is present (hash-sharded
-                           ShardRouter phase): admitted burst capacity must
-                           be monotone in shard count with zero dropped
-                           futures, the replay must be bitwise-identical with
-                           zero drops across an injected one-shard-failed
-                           fleet deploy (exactly one rollback, then a clean
-                           redeploy that advances the version), and shard
-                           occupancy must stay within the max/min bound.
+                           ShardRouter phase): the parked burst must drain
+                           with zero dropped futures, the replay must be
+                           bitwise-identical with zero drops across an
+                           injected one-shard-failed fleet deploy (exactly
+                           one rollback, then a clean redeploy that
+                           advances the version), and shard occupancy must
+                           stay within the max/min bound.
   --admin snapshots.jsonl  Admin-endpoint poll capture (one JSON object per
                            line, each {"statusz": ..., "metrics": ...} as
                            scraped from a live --admin-port server): required
@@ -551,7 +551,7 @@ def check_serving(path):
                  f"{admin['requests_per_mode']} requests per mode")
     router = record.get("router")
     if router is not None:
-        for key in ("ran", "scaling", "replay", "balance", "ok"):
+        for key in ("ran", "burst", "replay", "balance", "ok"):
             if key not in router:
                 fail(f"{path}: router record missing '{key}'")
                 return
@@ -559,26 +559,14 @@ def check_serving(path):
             fail(f"{path}: router phase never ran")
         if router["ok"] is not True:
             fail(f"{path}: router gate failed")
-        scaling = router["scaling"]
-        for key in ("shard_counts", "burst_offered", "per_shard_queue_bound",
-                    "admitted", "dropped", "ok"):
-            if key not in scaling:
-                fail(f"{path}: router scaling record missing '{key}'")
+        burst = router["burst"]
+        for key in ("shard_counts", "offered", "admitted", "dropped"):
+            if key not in burst:
+                fail(f"{path}: router burst record missing '{key}'")
                 return
-        admitted = scaling["admitted"]
-        if len(admitted) != len(scaling["shard_counts"]):
-            fail(f"{path}: router scaling admitted/shard_counts mismatch")
-        elif any(b < a for a, b in zip(admitted, admitted[1:])):
-            fail(
-                f"{path}: router admitted capacity not monotone in shard "
-                f"count: {admitted}"
-            )
-        if scaling["dropped"] != 0:
-            fail(f"{path}: router burst left {scaling['dropped']} future(s) "
+        if burst["dropped"] != 0:
+            fail(f"{path}: router burst left {burst['dropped']} future(s) "
                  "unresolved across drain")
-        if scaling["ok"] is not True:
-            fail(f"{path}: router capacity did not scale with shard count: "
-                 f"{admitted} admitted for {scaling['shard_counts']} shards")
         replay = router["replay"]
         for key in ("shards", "offered", "completed", "shed", "dropped",
                     "bitwise_identical", "incumbent_version", "fleet_version",

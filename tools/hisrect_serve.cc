@@ -30,11 +30,13 @@
 // CRC-verified, warmed up) and published; sending the process SIGHUP
 // rescans DIR and hot-swaps the newest checkpoint in with zero downtime —
 // in-flight requests finish on the old version. `--deadline-ms` attaches a
-// per-request deadline (0 = none) and `--priority` picks the admission
-// class; `--max-batch-queue` bounds the batch class separately so overload
-// sheds batch traffic first. `--failpoints` arms util::FailPoint specs
-// ("point=hit[:payload],...") for fault drills. All flags are validated up
-// front; invalid usage exits 2 with a message instead of CHECK-failing.
+// per-request deadline (0 = none), `--max-wait-us` opts into a batch window
+// (default 0: a batch forms as soon as a request is pending) and
+// `--priority` picks the admission class; `--max-batch-queue` bounds the
+// batch class separately so overload sheds batch traffic first.
+// `--failpoints` arms util::FailPoint specs ("point=hit[:payload],...") for
+// fault drills. All flags are validated up front; invalid usage exits 2
+// with a message instead of CHECK-failing.
 //
 // `--admin-port N` stands up the live introspection plane (DESIGN.md §14)
 // on 127.0.0.1:N (0 picks an ephemeral port, printed at startup): /metrics,
@@ -88,7 +90,8 @@ struct ServeCliOptions {
   std::string model_path;
   std::string registry_dir;
   size_t batch_size = 32;
-  uint64_t max_wait_us = 1000;
+  /// 0 forms a batch as soon as a request is pending (ServeOptions).
+  uint64_t max_wait_us = 0;
   size_t max_queue = 1024;
   size_t max_batch_queue = 1024;
   size_t cache_capacity = 4096;
@@ -129,6 +132,11 @@ int Usage() {
                "                     [--admin-port N] [--linger-ms N] "
                "[--router-shards N]\n"
                "\n"
+               "--max-wait-us N: opt-in batch window (default 0: a batch "
+               "forms as soon\n"
+               "                 as a request is pending; queued requests "
+               "coalesce, up to\n"
+               "                 --batch-size, default 32).\n"
                "--router-shards N: N >= 2 serves through a hash-sharded "
                "router fleet;\n"
                "                   SIGHUP reloads deploy to every shard "

@@ -14,7 +14,10 @@
 # its failpoint faults (serve.slow_batch, serve.score_abort,
 # registry.corrupt_load) run under ASan/UBSan as well. The router suite
 # rides along under TSan: shard fan-out, fleet swaps, and the routed_
-# counters cross the router, shard batchers, and registry threads.
+# counters cross the router, shard batchers, and registry threads. The TSan
+# leg is a soak: each suite runs up to three times (ctest --repeat
+# until-fail:3), because one pass samples one interleaving of the batcher's
+# inline scoring, the pool's cursor tasks and per-request resolution.
 #
 # Knobs:
 #   SANITIZERS   space-separated subset of "address undefined thread"
@@ -44,7 +47,10 @@ for sanitizer in $SANITIZERS; do
   cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DHISRECT_SANITIZE="$sanitizer"
   cmake --build "$build_dir" -j "$(nproc)"
-  (cd "$build_dir" && ctest -L "$label" --output-on-failure)
+  repeat=""
+  if [ "$sanitizer" = thread ]; then repeat="--repeat until-fail:3"; fi
+  # shellcheck disable=SC2086  # $repeat splits into two flags on purpose.
+  (cd "$build_dir" && ctest -L "$label" --output-on-failure $repeat)
 done
 
 echo "sanitize_smoke: OK (${SANITIZERS})"
