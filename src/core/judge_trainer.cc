@@ -8,8 +8,7 @@
 #include <memory>
 #include <utility>
 
-#include "nn/graph_optimizer.h"
-#include "nn/graph_recorder.h"
+#include "core/chain_runner.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -41,6 +40,51 @@ struct JudgeWorker {
   std::unique_ptr<JudgeHead> judge;
   std::unique_ptr<HisRectFeaturizer> featurizer;  // Only when trained.
   std::vector<nn::NamedParameter> params;
+};
+
+/// The module set one chain runs on (the shared modules, or one worker's
+/// replicas) and its recorded plan. The judge sees a fixed shape, two
+/// 1 x feature_dim rows and a 1x1 label, so one plan covers every sample.
+struct JudgeChain {
+  const JudgeHead* judge = nullptr;
+  const HisRectFeaturizer* featurizer = nullptr;
+  nn::PlanCache plans;
+};
+
+/// L_co on one labeled pair (paper §5): the log loss of the judge on the
+/// pair's features.
+struct JudgeLoss {
+  using Sample = LabeledPair;
+  const std::vector<EncodedProfile>& encoded;
+  /// Two-phase training fixes Theta_F, so its features are the eval-mode
+  /// rows of the referenced profiles. One-phase (empty rows) featurizes per
+  /// sample, in training mode, on the chain's featurizer.
+  const std::vector<nn::Matrix>& feature_rows;
+
+  nn::Tensor Feature(const JudgeChain& chain, size_t index,
+                     util::Rng& rng) const {
+    if (feature_rows.empty()) {
+      return chain.featurizer->Featurize(encoded[index], rng, true);
+    }
+    nn::Tensor row = nn::Tensor::FromMatrix(feature_rows[index]);
+    nn::RecordPlanInput(row);
+    return row;
+  }
+  nn::Tensor Build(const JudgeChain& chain, const LabeledPair& pair,
+                   util::Rng& rng) const {
+    nn::Tensor fi = Feature(chain, pair.i, rng);
+    nn::Tensor fj = Feature(chain, pair.j, rng);
+    nn::Tensor logit = chain.judge->CoLocationLogit(fi, fj, rng, true);
+    return nn::SigmoidBinaryCrossEntropy(logit, SampleScalar(pair.label));
+  }
+  void Bind(const JudgeChain&, const LabeledPair& pair,
+            nn::PlanInputs& inputs) const {
+    inputs.AddDirect(feature_rows[pair.i].data());
+    inputs.AddDirect(feature_rows[pair.j].data());
+    inputs.AddStaged(&pair.label, 1);
+  }
+  nn::PlanCache& Plans(JudgeChain& chain) const { return chain.plans; }
+  uint64_t PlanKey(const LabeledPair&) const { return 0; }
 };
 
 }  // namespace
@@ -274,98 +318,80 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
   util::Status status = checkpointer.Start(explicit_resume, &resumed);
   if (!status.ok()) return status;
 
-  // ---- Data-parallel machinery (num_shards > 1 only) ----
-  util::ThreadPool& thread_pool = util::ThreadPool::Global();
-  std::vector<nn::Matrix> feature_cache;
-  std::vector<JudgeWorker> workers;
-  std::vector<LabeledPair> batch(batch_size);
-  std::vector<util::Rng> sample_rngs;
-  std::vector<float> shard_losses(num_shards);
-  // Plan replay needs step-invariant features; the One-phase baseline
-  // (train_featurizer) keeps the eager path.
-  const bool use_plans = options_.plan.enabled && !options_.train_featurizer;
   // Two-phase training keeps Theta_F fixed, so every profile's feature is
-  // step-invariant: compute each one once up front (in parallel) and feed
-  // the judge detached constants. This also keeps worker backward passes
-  // off the shared featurizer gradients entirely. The serial eager path
-  // featurizes in eval mode (no RNG draws), so the cached features are
-  // bitwise-identical to the ones it would rebuild per sample.
-  if ((num_shards > 1 && !options_.train_featurizer) || use_plans) {
-    feature_cache.resize(encoded.size());
-    util::ParallelFor(thread_pool, encoded.size(),
-                      thread_pool.num_threads(),
+  // step-invariant: compute the rows the labeled pairs (and a resumed pool)
+  // reference once up front, in parallel, and feed the judge detached
+  // constants. This also keeps chain backward passes off the featurizer
+  // entirely. Eval-mode featurizing draws no RNG and the rows are
+  // independent, so they equal a per-sample rebuild bit for bit.
+  std::vector<nn::Matrix> feature_rows;
+  if (!options_.train_featurizer) {
+    HISRECT_TRACE_SPAN("judge.features");
+    std::vector<char> referenced(encoded.size(), 0);
+    for (const auto* pairs : {&split.positive_pairs, &split.negative_pairs}) {
+      for (const data::Pair& pair : *pairs) {
+        referenced[pair.i] = referenced[pair.j] = 1;
+      }
+    }
+    for (const LabeledPair& pair : pool) {
+      referenced[pair.i] = referenced[pair.j] = 1;
+    }
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < encoded.size(); ++i) {
+      if (referenced[i]) rows.push_back(i);
+    }
+    feature_rows.resize(encoded.size());
+    util::ThreadPool& thread_pool = util::ThreadPool::Global();
+    util::ParallelFor(thread_pool, rows.size(), thread_pool.num_threads(),
                       [&](size_t, size_t begin, size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          feature_cache[i] =
-                              featurizer_->Featurize(encoded[i]).value();
+                        for (size_t r = begin; r < end; ++r) {
+                          feature_rows[rows[r]] =
+                              featurizer_->Featurize(encoded[rows[r]]).value();
                         }
                       });
   }
-  if (num_shards > 1) {
+
+  // ---- Chains: one per gradient shard (core/chain_runner.h) ----
+  // Serial training is the one chain over the shared modules; sharded
+  // training runs chain c on worker c's replicas. Recorded plans bind the
+  // live parameter Nodes; CopyParameterValues and checkpoint restores
+  // rewrite the matrices in place, so plans stay valid for the whole run.
+  std::vector<JudgeWorker> workers;
+  std::vector<JudgeChain> chains(num_shards);
+  if (num_shards <= 1) {
+    chains[0].judge = judge_;
+    chains[0].featurizer = featurizer_;
+  } else {
     workers.resize(num_shards);
-    for (JudgeWorker& worker : workers) {
+    for (size_t c = 0; c < num_shards; ++c) {
+      JudgeWorker& worker = workers[c];
       worker.judge = judge_->Clone();
       worker.judge->CollectParameters("judge", worker.params);
       if (options_.train_featurizer) {
         worker.featurizer = featurizer_->Clone();
         worker.featurizer->CollectParameters("featurizer", worker.params);
       }
+      chains[c].judge = worker.judge.get();
+      chains[c].featurizer = worker.featurizer.get();
     }
     optimizer.ZeroGrad();
   }
-
-  // ---- Recorded-plan execution (use_plans only) ----
-  // The judge head sees a fixed shape — two 1 x feature_dim rows and a 1x1
-  // label — so one plan per module set covers every sample. Plans bind the
-  // live parameter Nodes; CopyParameterValues and checkpoint restores
-  // rewrite the matrices in place, so they stay valid for the whole run.
-  std::vector<std::shared_ptr<const nn::Graph>> plans;
-  std::vector<nn::PlanRun> plan_runs;
-  // Keyed by shard. One setup-time miss per shard, then per-step hits on
-  // the serial path — the same plan_cache_{hits,misses} accounting as the
-  // SSL trainer and serving cache sites.
-  nn::PlanCache plan_cache;
-  auto record_judge_plan = [&](const JudgeHead& judge) {
-    nn::GraphRecorder recorder(/*training=*/true);
-    // Representative feature rows: only the shape matters; the values are
-    // rebound per sample.
-    nn::Tensor fi = nn::Tensor::FromMatrix(feature_cache.front());
-    nn::RecordPlanInput(fi);
-    nn::Tensor fj = nn::Tensor::FromMatrix(feature_cache.front());
-    nn::RecordPlanInput(fj);
-    util::Rng rec_rng(0);  // Structure is RNG-independent.
-    nn::Tensor logit = judge.CoLocationLogit(fi, fj, rec_rng, true);
-    nn::Tensor label = nn::Tensor::FromMatrix(nn::Matrix(1, 1, 1.0f));
-    nn::RecordPlanInput(label);
-    std::shared_ptr<const nn::Graph> plan =
-        recorder.Finish(nn::SigmoidBinaryCrossEntropy(logit, label));
-    // Fused training plans stay bitwise-identical to the eager tape.
-    if (options_.plan.fuse) plan = nn::FuseGraph(*plan);
-    return plan;
-  };
-  auto judge_plan_for = [&](uint64_t shard, const JudgeHead& judge) {
-    std::shared_ptr<const nn::Graph> plan = plan_cache.Get(shard);
-    if (plan == nullptr) {
-      plan = record_judge_plan(judge);
-      plan_cache.Put(shard, plan);
-    }
-    return plan;
-  };
-  auto bind_judge_inputs = [&](const LabeledPair& pair, nn::PlanRun& run) {
-    run.inputs.Reset();
-    run.inputs.AddDirect(feature_cache[pair.i].data());
-    run.inputs.AddDirect(feature_cache[pair.j].data());
-    run.inputs.AddStaged(&pair.label, 1);
-  };
-  if (use_plans) {
-    plan_runs.resize(batch_size);
-    if (num_shards > 1) {
-      plans.reserve(num_shards);
-      for (size_t s = 0; s < workers.size(); ++s) {
-        plans.push_back(judge_plan_for(s, *workers[s].judge));
-      }
-    } else {
-      plans.push_back(judge_plan_for(0, *judge_));
+  const JudgeLoss loss{encoded, feature_rows};
+  // Plan replay needs step-invariant features, so One-phase runs eagerly.
+  ChainRunner runner(
+      {options_.plan.enabled && !options_.train_featurizer, options_.plan.fuse},
+      batch_size);
+  std::vector<LabeledPair> batch;
+  // Prewarm: one recording per chain, from a labeled pair the run trains on,
+  // whose rows are filled (only the shape matters; the values are rebound
+  // per sample).
+  if (runner.planned()) {
+    const data::Pair& rep = split.positive_pairs.empty()
+                                ? split.negative_pairs.front()
+                                : split.positive_pairs.front();
+    util::Rng warm_rng(0);
+    for (JudgeChain& chain : chains) {
+      runner.PlanFor(loss, chain, LabeledPair{rep.i, rep.j, 0.0f}, warm_rng);
     }
   }
   static obs::Counter* tensor_allocs =
@@ -386,128 +412,21 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
   while (step < options_.steps) {
     HISRECT_TRACE_SPAN("judge.step");
     obs::ScopedTimer step_timer(step_seconds);
-    double loss_value = 0.0;
-    if (num_shards <= 1 && use_plans) {
-      // Planned serial path. The eager batch tape is
-      // Scale(Add(...Add(s_0, s_1)..., s_{B-1}), inv_batch); its backward
-      // visits the samples in reverse order and every sample root receives
-      // exactly inv_batch through the Add chain, so replaying the per-sample
-      // backward programs in reverse batch order with seed = inv_batch is
-      // bitwise-identical. (The eager path additionally accumulates unused
-      // gradients into the fixed featurizer; nothing reads those.)
-      // Per-step cache lookup (a hit after the setup miss) keeps this site's
-      // plan_cache stats consistent with the SSL and serving sites.
-      const std::shared_ptr<const nn::Graph> plan_ref = plan_cache.Get(0);
-      const nn::Graph& plan = plan_ref != nullptr ? *plan_ref : *plans[0];
-      float acc = 0.0f;
-      for (size_t b = 0; b < batch_size; ++b) {
-        LabeledPair pair = next_pair();
-        bind_judge_inputs(pair, plan_runs[b]);
-        nn::PlanExecutor::Forward(plan, plan_runs[b], &rng);
-        const float sample = nn::PlanExecutor::OutputScalar(plan, plan_runs[b]);
-        acc = b == 0 ? sample : acc + sample;
-      }
-      for (size_t b = batch_size; b-- > 0;) {
-        nn::PlanExecutor::Backward(plan, plan_runs[b], inv_batch);
-      }
-      loss_value = acc * inv_batch;
-    } else if (num_shards <= 1) {
-      // Serial single-tape path (bit-compatible with the original trainer).
-      nn::Tensor loss;
-      for (size_t b = 0; b < batch_size; ++b) {
-        LabeledPair pair = next_pair();
-        // Theta_F fixed in the two-phase approach: featurize in eval mode so
-        // no featurizer dropout perturbs the fixed features.
-        bool featurizer_training = options_.train_featurizer;
-        nn::Tensor fi =
-            featurizer_->Featurize(encoded[pair.i], rng, featurizer_training);
-        nn::Tensor fj =
-            featurizer_->Featurize(encoded[pair.j], rng, featurizer_training);
-        nn::Tensor logit = judge_->CoLocationLogit(fi, fj, rng, true);
-        nn::Tensor sample_loss =
-            nn::SigmoidBinaryCrossEntropy(logit, pair.label);
-        loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-      }
-      loss = nn::Scale(loss, inv_batch);
-      loss.Backward();
-      loss_value = loss.value().At(0, 0);
-    } else {
-      // All stochastic decisions happen on the coordinating thread, in
-      // sample order: pool draws and one forked RNG stream per sample.
-      // Workers never touch the trainer RNG, so the trajectory is a function
-      // of (seed, num_shards) only.
-      sample_rngs.clear();
-      for (size_t b = 0; b < batch_size; ++b) {
-        batch[b] = next_pair();
-        sample_rngs.push_back(rng.Fork());
-      }
-      for (JudgeWorker& worker : workers) {
-        nn::CopyParameterValues(*judge_, *worker.judge);
-        if (worker.featurizer != nullptr) {
-          nn::CopyParameterValues(*featurizer_, *worker.featurizer);
-        }
-      }
-
-      util::ParallelFor(
-          thread_pool, batch_size, num_shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            JudgeWorker& worker = workers[shard];
-            if (use_plans) {
-              // Same reverse-order backward argument as the serial planned
-              // path, applied per shard chain.
-              const nn::Graph& plan = *plans[shard];
-              float acc = 0.0f;
-              for (size_t b = begin; b < end; ++b) {
-                bind_judge_inputs(batch[b], plan_runs[b]);
-                nn::PlanExecutor::Forward(plan, plan_runs[b], &sample_rngs[b]);
-                const float sample =
-                    nn::PlanExecutor::OutputScalar(plan, plan_runs[b]);
-                acc = b == begin ? sample : acc + sample;
-              }
-              for (size_t b = end; b-- > begin;) {
-                nn::PlanExecutor::Backward(plan, plan_runs[b], inv_batch);
-              }
-              shard_losses[shard] = acc * inv_batch;
-              return;
-            }
-            nn::Tensor loss;
-            for (size_t b = begin; b < end; ++b) {
-              const LabeledPair& pair = batch[b];
-              util::Rng& sample_rng = sample_rngs[b];
-              nn::Tensor fi, fj;
-              if (worker.featurizer != nullptr) {
-                fi = worker.featurizer->Featurize(encoded[pair.i], sample_rng,
-                                                  true);
-                fj = worker.featurizer->Featurize(encoded[pair.j], sample_rng,
-                                                  true);
-              } else {
-                fi = nn::Tensor::FromMatrix(feature_cache[pair.i]);
-                fj = nn::Tensor::FromMatrix(feature_cache[pair.j]);
-              }
-              nn::Tensor logit =
-                  worker.judge->CoLocationLogit(fi, fj, sample_rng, true);
-              nn::Tensor sample_loss =
-                  nn::SigmoidBinaryCrossEntropy(logit, pair.label);
-              loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-            }
-            loss = nn::Scale(loss, inv_batch);
-            loss.Backward();
-            shard_losses[shard] = loss.value().At(0, 0);
-          });
-
-      // Fixed-order reduction: shard 0 first, then 1, ... — the float sums
-      // are associated identically no matter which threads ran the shards.
-      for (size_t shard = 0; shard < num_shards; ++shard) {
-        loss_value += shard_losses[shard];
-        std::vector<nn::NamedParameter>& worker_params = workers[shard].params;
-        CHECK_EQ(worker_params.size(), params.size());
-        for (size_t p = 0; p < params.size(); ++p) {
-          params[p].tensor.mutable_grad().AddScaled(
-              worker_params[p].tensor.grad(), 1.0f);
-          worker_params[p].tensor.ZeroGrad();
-        }
+    for (JudgeWorker& worker : workers) {
+      nn::CopyParameterValues(*judge_, *worker.judge);
+      if (worker.featurizer != nullptr) {
+        nn::CopyParameterValues(*featurizer_, *worker.featurizer);
       }
     }
+    const std::vector<float>& chain_losses =
+        runner.Step(loss, chains, inv_batch, rng, next_pair, batch);
+    const double loss_value =
+        workers.empty()
+            ? chain_losses[0]
+            : ReduceChains(chain_losses, params,
+                           [&](size_t c) -> std::vector<nn::NamedParameter>& {
+                             return workers[c].params;
+                           });
 
     if (util::FailPoint::ShouldFail("trainer.nan_grad")) {
       params.front().tensor.mutable_grad().data()[0] =

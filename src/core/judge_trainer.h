@@ -30,18 +30,18 @@ struct JudgeTrainerOptions {
   /// backpropagates through its own replica tape and the shard gradients
   /// are reduced into the shared parameters in shard order before a single
   /// Adam step. Results depend only on this value (and the seed), never on
-  /// how many pool threads actually run the shards. <= 1 keeps the serial
-  /// single-tape path.
+  /// how many pool threads actually run the shards. <= 1 trains serially:
+  /// the step is one chain over the shared modules (core/chain_runner.h).
   size_t num_shards = 1;
   nn::AdamOptions adam;
   /// Checkpoint/resume and NaN-divergence policy (prefix "judge").
   CheckpointOptions checkpoint;
   DivergenceGuardOptions guard;
-  /// plan.enabled replays one recorded judge-head plan over precomputed
-  /// features instead of rebuilding the eager tape per sample: zero
-  /// steady-state tensor allocations, bitwise-identical losses/parameters.
-  /// Ignored (eager fallback) when train_featurizer is true, since the
-  /// One-phase baseline's features are not step-invariant.
+  /// plan.enabled replays one recorded judge-head plan per shard over the
+  /// precomputed feature rows instead of rebuilding the eager tape per
+  /// sample: zero steady-state tensor allocations, bitwise-identical
+  /// losses/parameters. Ignored (eager fallback) when train_featurizer is
+  /// true, since the One-phase baseline's features are not step-invariant.
   nn::PlanOptions plan;
 };
 

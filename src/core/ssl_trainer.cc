@@ -9,8 +9,7 @@
 #include <memory>
 #include <utility>
 
-#include "nn/graph_optimizer.h"
-#include "nn/graph_recorder.h"
+#include "core/chain_runner.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -21,7 +20,6 @@
 #include "util/binio.h"
 #include "util/fail_point.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace hisrect::core {
 
@@ -40,12 +38,91 @@ struct SslWorker {
   std::vector<nn::NamedParameter> unsup_params;
 };
 
-/// Recorded plans for one module set (the shared modules, or one worker
-/// replica), keyed by sample shape. PlanCache is not thread-safe; each
-/// SslPlanSet is touched by exactly one thread.
-struct SslPlanSet {
-  nn::PlanCache poi;    // key: tweet word count
-  nn::PlanCache unsup;  // key: (word count i) << 32 | (word count j)
+/// The module set one chain runs on (the shared modules, or one worker's
+/// replicas) and its recorded plans, keyed by sample shape. PlanCache is not
+/// thread-safe; each chain is touched by exactly one thread.
+struct SslChain {
+  const HisRectFeaturizer* featurizer = nullptr;
+  const PoiClassifier* classifier = nullptr;
+  const Embedder* embedder = nullptr;  // Only when use_embedding.
+  nn::PlanCache poi_plans;    // key: tweet word count
+  nn::PlanCache unsup_plans;  // key: (word count i) << 32 | (word count j)
+};
+
+/// L_poi on one labeled profile, sampled as its index into `encoded`: the
+/// cross entropy of P(F(r)) against r.pid.
+struct PoiLoss {
+  using Sample = size_t;
+  const std::vector<EncodedProfile>& encoded;
+
+  nn::Tensor Build(const SslChain& chain, size_t index, util::Rng& rng) const {
+    const EncodedProfile& profile = encoded[index];
+    nn::Tensor feature = chain.featurizer->Featurize(profile, rng, true);
+    nn::Tensor logits = chain.classifier->Logits(feature, rng, true);
+    return nn::SoftmaxCrossEntropy(
+        logits, SampleScalar(static_cast<float>(profile.pid)));
+  }
+  void Bind(const SslChain& chain, size_t index,
+            nn::PlanInputs& inputs) const {
+    chain.featurizer->BindPlanInputs(encoded[index], inputs);
+    const float target = static_cast<float>(encoded[index].pid);
+    inputs.AddStaged(&target, 1);
+  }
+  nn::PlanCache& Plans(SslChain& chain) const { return chain.poi_plans; }
+  uint64_t PlanKey(size_t index) const { return encoded[index].words.size(); }
+};
+
+/// L_u on one affinity pair, weighted by a_ij: the cosine form of Eq. 4 or
+/// the squared-L2 ablation, on E(F(r)) or, without E, on the L2-normalized
+/// features.
+struct UnsupLoss {
+  using Sample = WeightedPair;
+  const std::vector<EncodedProfile>& encoded;
+  const SslTrainerOptions& options;
+
+  nn::Tensor Build(const SslChain& chain, const WeightedPair& pair,
+                   util::Rng& rng) const {
+    nn::Tensor fi = chain.featurizer->Featurize(encoded[pair.i], rng, true);
+    nn::Tensor fj = chain.featurizer->Featurize(encoded[pair.j], rng, true);
+    nn::Tensor ei = options.use_embedding ? chain.embedder->Embed(fi, rng, true)
+                                          : nn::L2NormalizeRow(fi);
+    nn::Tensor ej = options.use_embedding ? chain.embedder->Embed(fj, rng, true)
+                                          : nn::L2NormalizeRow(fj);
+    nn::Tensor sample_loss;
+    switch (options.unsup_loss) {
+      case UnsupLossKind::kCosine: {
+        // a_ij * (1 - <e_i, e_j>), built as a_ij - a_ij * dot with -a_ij a
+        // leaf of its own (float negation is exact). The constant a_ij adds
+        // nothing to gradients; it makes the reported loss match Eq. 4.
+        nn::Tensor dot = nn::Dot(ei, ej);
+        nn::Tensor neg_weight = SampleScalar(-pair.weight);
+        nn::Tensor weight = SampleScalar(pair.weight);
+        sample_loss = nn::Add(nn::MulScalar(dot, neg_weight), weight);
+        break;
+      }
+      case UnsupLossKind::kSquaredL2: {
+        nn::Tensor distance = nn::SquaredL2Diff(ei, ej);
+        sample_loss = nn::MulScalar(distance, SampleScalar(pair.weight));
+        break;
+      }
+    }
+    return sample_loss;
+  }
+  void Bind(const SslChain& chain, const WeightedPair& pair,
+            nn::PlanInputs& inputs) const {
+    chain.featurizer->BindPlanInputs(encoded[pair.i], inputs);
+    chain.featurizer->BindPlanInputs(encoded[pair.j], inputs);
+    if (options.unsup_loss == UnsupLossKind::kCosine) {
+      const float neg_weight = -pair.weight;
+      inputs.AddStaged(&neg_weight, 1);
+    }
+    inputs.AddStaged(&pair.weight, 1);
+  }
+  nn::PlanCache& Plans(SslChain& chain) const { return chain.unsup_plans; }
+  uint64_t PlanKey(const WeightedPair& pair) const {
+    return (static_cast<uint64_t>(encoded[pair.i].words.size()) << 32) |
+           static_cast<uint64_t>(encoded[pair.j].words.size());
+  }
 };
 
 }  // namespace
@@ -377,58 +454,22 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
   util::Status status = checkpointer.Start(explicit_resume, &resumed);
   if (!status.ok()) return status;
 
-  // Per-sample graph builders shared by the serial and parallel paths.
-  // `featurizer`/`classifier`/`embedder` are the module set the sample's
-  // tape is attached to (shared modules or a worker replica).
-  auto poi_sample_loss = [&](const HisRectFeaturizer& featurizer,
-                             const PoiClassifier& classifier, size_t index,
-                             util::Rng& sample_rng) {
-    const EncodedProfile& profile = encoded[index];
-    nn::Tensor feature = featurizer.Featurize(profile, sample_rng, true);
-    nn::Tensor logits = classifier.Logits(feature, sample_rng, true);
-    return nn::SoftmaxCrossEntropy(logits, static_cast<size_t>(profile.pid));
-  };
-  auto unsup_sample_loss = [&](const HisRectFeaturizer& featurizer,
-                               const Embedder* embedder,
-                               const WeightedPair& pair,
-                               util::Rng& sample_rng) {
-    nn::Tensor fi = featurizer.Featurize(encoded[pair.i], sample_rng, true);
-    nn::Tensor fj = featurizer.Featurize(encoded[pair.j], sample_rng, true);
-    nn::Tensor ei = options_.use_embedding
-                        ? embedder->Embed(fi, sample_rng, true)
-                        : nn::L2NormalizeRow(fi);
-    nn::Tensor ej = options_.use_embedding
-                        ? embedder->Embed(fj, sample_rng, true)
-                        : nn::L2NormalizeRow(fj);
-    nn::Tensor sample_loss;
-    switch (options_.unsup_loss) {
-      case UnsupLossKind::kCosine: {
-        // a_ij * (1 - <e_i, e_j>): build as a_ij - a_ij * dot.
-        nn::Tensor dot = nn::Dot(ei, ej);
-        nn::Tensor scaled = nn::Scale(dot, -pair.weight);
-        // Constant a_ij contributes nothing to gradients; add it so the
-        // reported loss matches Eq. 4.
-        sample_loss = nn::Add(
-            scaled, nn::Tensor::FromMatrix(nn::Matrix(1, 1, pair.weight)));
-        break;
-      }
-      case UnsupLossKind::kSquaredL2:
-        sample_loss = nn::Scale(nn::SquaredL2Diff(ei, ej), pair.weight);
-        break;
-    }
-    return sample_loss;
-  };
-
-  // ---- Data-parallel machinery (num_shards > 1 only) ----
-  util::ThreadPool& thread_pool = util::ThreadPool::Global();
+  // ---- Chains: one per gradient shard (core/chain_runner.h) ----
+  // Serial training is the one chain over the shared modules; sharded
+  // training runs chain c on worker c's replicas. Recorded plans bind the
+  // live parameter Nodes; CopyParameterValues and checkpoint restores
+  // rewrite the matrices in place, so plans stay valid across steps,
+  // rollbacks and resumes.
   std::vector<SslWorker> workers;
-  std::vector<size_t> poi_batch(batch_size);
-  std::vector<WeightedPair> pair_batch(batch_size);
-  std::vector<util::Rng> sample_rngs;
-  std::vector<float> shard_losses(num_shards);
-  if (num_shards > 1) {
+  std::vector<SslChain> chains(num_shards);
+  if (num_shards <= 1) {
+    chains[0].featurizer = featurizer_;
+    chains[0].classifier = classifier_;
+    chains[0].embedder = embedder_;
+  } else {
     workers.resize(num_shards);
-    for (SslWorker& worker : workers) {
+    for (size_t c = 0; c < num_shards; ++c) {
+      SslWorker& worker = workers[c];
       worker.featurizer = featurizer_->Clone();
       worker.classifier = classifier_->Clone();
       worker.featurizer->CollectParameters("featurizer", worker.poi_params);
@@ -438,175 +479,33 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
         worker.embedder = embedder_->Clone();
         worker.embedder->CollectParameters("embedder", worker.unsup_params);
       }
+      chains[c].featurizer = worker.featurizer.get();
+      chains[c].classifier = worker.classifier.get();
+      chains[c].embedder = worker.embedder.get();
     }
     poi_optimizer.ZeroGrad();
     unsup_optimizer.ZeroGrad();
   }
-
-  // Fixed-order reduction of worker gradients into the shared parameters
-  // (no optimizer step yet). The shard-ascending order keeps the float sums
-  // associated identically no matter which threads ran the shards.
-  auto reduce_shards = [&](std::vector<nn::NamedParameter>& shared,
-                           bool poi_step) {
-    double loss_value = 0.0;
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      loss_value += shard_losses[shard];
-      std::vector<nn::NamedParameter>& worker_params =
-          poi_step ? workers[shard].poi_params : workers[shard].unsup_params;
-      CHECK_EQ(worker_params.size(), shared.size());
-      for (size_t p = 0; p < shared.size(); ++p) {
-        shared[p].tensor.mutable_grad().AddScaled(
-            worker_params[p].tensor.grad(), 1.0f);
-        worker_params[p].tensor.ZeroGrad();
-      }
-    }
-    return loss_value;
-  };
-
-  // ---- Recorded-plan execution (options_.plan.enabled) ----
-  // One plan per (loss kind, sample shape) and module set, recorded against
-  // the live parameter Nodes. CopyParameterValues and checkpoint restores
-  // rewrite the parameter matrices in place, so recorded plans stay valid
-  // across steps, rollbacks, and resumes.
-  const bool use_plans = options_.plan.enabled;
-  std::vector<SslPlanSet> plan_sets;
-  std::vector<nn::PlanRun> plan_runs;          // One reusable workspace per
-  std::vector<std::shared_ptr<const nn::Graph>> step_plans;  // batch slot.
-  if (use_plans) {
-    plan_sets.resize(num_shards > 1 ? num_shards : 1);
-    plan_runs.resize(batch_size);
-    step_plans.resize(batch_size);
-  }
-
-  auto poi_plan_key = [&](const EncodedProfile& profile) -> uint64_t {
-    return profile.words.size();
-  };
-  auto unsup_plan_key = [&](const WeightedPair& pair) -> uint64_t {
-    return (static_cast<uint64_t>(encoded[pair.i].words.size()) << 32) |
-           static_cast<uint64_t>(encoded[pair.j].words.size());
-  };
-
-  // Recording mirrors the eager sample builders op for op; the per-sample
-  // scalars (target class, pair weight) become plan inputs instead of baked
-  // constants so one plan serves every sample of the same shape. `rec_rng`
-  // is taken by value: recording consumes RNG draws for dropout masks, but
-  // the recorded *structure* is RNG-independent, so the copy keeps the
-  // caller's stream exactly where the eager path would leave it.
-  // Fused plans (options_.plan.fuse) run the GraphOptimizer rewrite after
-  // recording; fused training plans stay bitwise-identical to the eager
-  // tape, forward and backward.
-  auto maybe_fuse = [&](std::shared_ptr<const nn::Graph> plan) {
-    return options_.plan.fuse ? nn::FuseGraph(*plan) : plan;
-  };
-  auto record_poi_plan = [&](const HisRectFeaturizer& featurizer,
-                             const PoiClassifier& classifier,
-                             const EncodedProfile& profile,
-                             util::Rng rec_rng) {
-    nn::GraphRecorder recorder(/*training=*/true);
-    nn::Tensor feature = featurizer.Featurize(profile, rec_rng, true);
-    nn::Tensor logits = classifier.Logits(feature, rec_rng, true);
-    nn::Tensor target = nn::Tensor::FromMatrix(
-        nn::Matrix(1, 1, static_cast<float>(profile.pid)));
-    nn::RecordPlanInput(target);
-    return maybe_fuse(recorder.Finish(nn::SoftmaxCrossEntropy(logits, target)));
-  };
-  auto record_unsup_plan = [&](const HisRectFeaturizer& featurizer,
-                               const Embedder* embedder,
-                               const WeightedPair& pair, util::Rng rec_rng) {
-    nn::GraphRecorder recorder(/*training=*/true);
-    nn::Tensor fi = featurizer.Featurize(encoded[pair.i], rec_rng, true);
-    nn::Tensor fj = featurizer.Featurize(encoded[pair.j], rec_rng, true);
-    nn::Tensor ei = options_.use_embedding
-                        ? embedder->Embed(fi, rec_rng, true)
-                        : nn::L2NormalizeRow(fi);
-    nn::Tensor ej = options_.use_embedding
-                        ? embedder->Embed(fj, rec_rng, true)
-                        : nn::L2NormalizeRow(fj);
-    nn::Tensor sample_loss;
-    switch (options_.unsup_loss) {
-      case UnsupLossKind::kCosine: {
-        // Mirrors the eager Scale(dot, -w) + Add(.., const w) arithmetic with
-        // the weight staged as two 1x1 inputs (-w and w; float negation is
-        // exact, so the products match the eager path bitwise).
-        nn::Tensor dot = nn::Dot(ei, ej);
-        nn::Tensor neg_weight =
-            nn::Tensor::FromMatrix(nn::Matrix(1, 1, -pair.weight));
-        nn::RecordPlanInput(neg_weight);
-        nn::Tensor weight =
-            nn::Tensor::FromMatrix(nn::Matrix(1, 1, pair.weight));
-        nn::RecordPlanInput(weight);
-        sample_loss = nn::Add(nn::MulScalar(dot, neg_weight), weight);
-        break;
-      }
-      case UnsupLossKind::kSquaredL2: {
-        nn::Tensor weight =
-            nn::Tensor::FromMatrix(nn::Matrix(1, 1, pair.weight));
-        nn::RecordPlanInput(weight);
-        sample_loss = nn::MulScalar(nn::SquaredL2Diff(ei, ej), weight);
-        break;
-      }
-    }
-    return maybe_fuse(recorder.Finish(sample_loss));
-  };
-
-  // Input binding must mirror the leaf-declaration order above exactly.
-  // BindPlanInputs only reads the frozen embeddings and config, which are
-  // shared by all worker replicas, so the shared featurizer serves all.
-  auto bind_poi_inputs = [&](const EncodedProfile& profile, nn::PlanRun& run) {
-    run.inputs.Reset();
-    featurizer_->BindPlanInputs(profile, run.inputs);
-    const float target = static_cast<float>(profile.pid);
-    run.inputs.AddStaged(&target, 1);
-  };
-  auto bind_unsup_inputs = [&](const WeightedPair& pair, nn::PlanRun& run) {
-    run.inputs.Reset();
-    featurizer_->BindPlanInputs(encoded[pair.i], run.inputs);
-    featurizer_->BindPlanInputs(encoded[pair.j], run.inputs);
-    if (options_.unsup_loss == UnsupLossKind::kCosine) {
-      const float neg_weight = -pair.weight;
-      run.inputs.AddStaged(&neg_weight, 1);
-    }
-    const float weight = pair.weight;
-    run.inputs.AddStaged(&weight, 1);
-  };
-
-  // Cache lookups with record-on-miss (the prewarm below makes misses rare).
-  auto poi_plan_for = [&](SslPlanSet& plans,
-                          const HisRectFeaturizer& featurizer,
-                          const PoiClassifier& classifier,
-                          const EncodedProfile& profile,
-                          const util::Rng& sample_rng) {
-    const uint64_t key = poi_plan_key(profile);
-    std::shared_ptr<const nn::Graph> plan = plans.poi.Get(key);
-    if (plan == nullptr) {
-      plan = record_poi_plan(featurizer, classifier, profile, sample_rng);
-      plans.poi.Put(key, plan);
-    }
-    return plan;
-  };
-  auto unsup_plan_for = [&](SslPlanSet& plans,
-                            const HisRectFeaturizer& featurizer,
-                            const Embedder* embedder, const WeightedPair& pair,
-                            const util::Rng& sample_rng) {
-    const uint64_t key = unsup_plan_key(pair);
-    std::shared_ptr<const nn::Graph> plan = plans.unsup.Get(key);
-    if (plan == nullptr) {
-      plan = record_unsup_plan(featurizer, embedder, pair, sample_rng);
-      plans.unsup.Put(key, plan);
-    }
-    return plan;
-  };
+  const PoiLoss poi_loss{encoded};
+  const UnsupLoss unsup_loss{encoded, options_};
+  ChainRunner runner(options_.plan, batch_size);
+  std::vector<size_t> poi_batch;
+  std::vector<WeightedPair> pair_batch;
+  auto draw_labeled = [&] { return labeled[rng.UniformInt(labeled.size())]; };
 
   // Prewarm: record every plan shape reachable from this run's data up
   // front, so the step loop itself allocates nothing. Plan structure does
   // not depend on the RNG or on parameter values, so a throwaway RNG is
-  // fine here and the prewarm leaves the trajectory untouched.
+  // fine here and the prewarm leaves the trajectory untouched. PlanFor
+  // counts its one miss per shape in `hisrect.nn.plan_cache_misses` like
+  // every other cache site.
   static obs::Counter* tensor_allocs =
       obs::MetricsRegistry::Global().GetCounter("hisrect.nn.tensor_allocs");
-  if (use_plans) {
+  if (runner.planned()) {
+    HISRECT_TRACE_SPAN("ssl.prewarm");
     std::map<uint64_t, size_t> poi_shapes;  // word count -> representative
     for (size_t index : labeled) {
-      poi_shapes.emplace(poi_plan_key(encoded[index]), index);
+      poi_shapes.emplace(poi_loss.PlanKey(index), index);
     }
     std::map<uint64_t, size_t> pair_shapes;
     auto note_pairs = [&](const std::vector<WeightedPair>& source) {
@@ -619,32 +518,15 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
     note_pairs(negatives);
     note_pairs(unlabeled);
     util::Rng warm_rng(0);
-    for (size_t s = 0; s < plan_sets.size(); ++s) {
-      const HisRectFeaturizer& featurizer =
-          num_shards > 1 ? *workers[s].featurizer : *featurizer_;
-      const PoiClassifier& classifier =
-          num_shards > 1 ? *workers[s].classifier : *classifier_;
-      const Embedder* embedder =
-          num_shards > 1 ? workers[s].embedder.get() : embedder_;
-      // Routed through the cache-lookup helpers (rather than direct Puts) so
-      // the prewarm's one-miss-per-shape shows up in
-      // `hisrect.nn.plan_cache_misses` like every other cache site.
-      for (const auto& [word_count, index] : poi_shapes) {
-        (void)word_count;
-        poi_plan_for(plan_sets[s], featurizer, classifier, encoded[index],
-                     warm_rng);
+    for (SslChain& chain : chains) {
+      for (const auto& shape : poi_shapes) {
+        runner.PlanFor(poi_loss, chain, shape.second, warm_rng);
       }
       if (gamma_poi < 1.0) {
-        for (const auto& [wi, i] : pair_shapes) {
-          for (const auto& [wj, j] : pair_shapes) {
-            (void)wi;
-            (void)wj;
-            WeightedPair rep;
-            rep.i = i;
-            rep.j = j;
-            rep.weight = 1.0f;
-            rep.labeled = false;
-            unsup_plan_for(plan_sets[s], featurizer, embedder, rep, warm_rng);
+        for (const auto& shape_i : pair_shapes) {
+          for (const auto& shape_j : pair_shapes) {
+            const WeightedPair rep{shape_i.second, shape_j.second, 1.0f, false};
+            runner.PlanFor(unsup_loss, chain, rep, warm_rng);
           }
         }
       }
@@ -669,172 +551,34 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
     HISRECT_TRACE_SPAN("ssl.step");
     obs::ScopedTimer step_timer(step_seconds);
     // All stochastic decisions happen on the coordinating thread, in sample
-    // order: the step-kind draw, batch draws, and (sharded runs) one forked
-    // RNG stream per sample. The trajectory is a function of (seed,
-    // num_shards) only.
+    // order (the step-kind draw first); see ChainRunner::Step.
     bool take_poi_step = rng.Uniform() < gamma_poi;
     std::vector<nn::NamedParameter>& active_params =
         take_poi_step ? poi_params : unsup_params;
     nn::Adam& active_optimizer = take_poi_step ? poi_optimizer : unsup_optimizer;
-    double loss_value = 0.0;
-
-    if (num_shards <= 1 && use_plans) {
-      // Planned serial path. The eager batch tape is
-      // Scale(Add(...Add(s_0, s_1)..., s_{B-1}), scale); its backward visits
-      // the samples in reverse order and every sample root receives exactly
-      // `scale` through the Add chain, so replaying the per-sample backward
-      // programs in reverse batch order with seed = scale is
-      // bitwise-identical to the eager tape.
-      SslPlanSet& plans = plan_sets[0];
-      const float scale =
-          take_poi_step ? inv_batch : options_.unsup_weight * inv_batch;
-      float acc = 0.0f;
-      for (size_t b = 0; b < batch_size; ++b) {
-        nn::PlanRun& run = plan_runs[b];
-        std::shared_ptr<const nn::Graph> plan;
-        if (take_poi_step) {
-          size_t index = labeled[rng.UniformInt(labeled.size())];
-          plan = poi_plan_for(plans, *featurizer_, *classifier_,
-                              encoded[index], rng);
-          bind_poi_inputs(encoded[index], run);
-        } else {
-          WeightedPair pair = next_pair();
-          plan = unsup_plan_for(plans, *featurizer_, embedder_, pair, rng);
-          bind_unsup_inputs(pair, run);
-        }
-        nn::PlanExecutor::Forward(*plan, run, &rng);
-        const float sample = nn::PlanExecutor::OutputScalar(*plan, run);
-        acc = b == 0 ? sample : acc + sample;
-        step_plans[b] = std::move(plan);
-      }
-      for (size_t b = batch_size; b-- > 0;) {
-        nn::PlanExecutor::Backward(*step_plans[b], plan_runs[b], scale);
-      }
-      loss_value = acc * scale;
-    } else if (num_shards <= 1) {
-      // Serial single-tape path (bit-compatible with the original trainer).
-      nn::Tensor loss;
+    for (SslWorker& worker : workers) {
+      nn::CopyParameterValues(*featurizer_, *worker.featurizer);
       if (take_poi_step) {
-        // Supervised step: L_poi = cross entropy of P(F(r)) vs r.pid.
-        for (size_t b = 0; b < batch_size; ++b) {
-          size_t index = labeled[rng.UniformInt(labeled.size())];
-          nn::Tensor sample_loss =
-              poi_sample_loss(*featurizer_, *classifier_, index, rng);
-          loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-        }
-        loss = nn::Scale(loss, inv_batch);
-      } else {
-        // Unsupervised step over affinity pairs.
-        for (size_t b = 0; b < batch_size; ++b) {
-          WeightedPair pair = next_pair();
-          nn::Tensor sample_loss =
-              unsup_sample_loss(*featurizer_, embedder_, pair, rng);
-          loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-        }
-        loss = nn::Scale(loss, options_.unsup_weight * inv_batch);
-      }
-      loss.Backward();
-      loss_value = loss.value().At(0, 0);
-    } else if (take_poi_step) {
-      sample_rngs.clear();
-      for (size_t b = 0; b < batch_size; ++b) {
-        poi_batch[b] = labeled[rng.UniformInt(labeled.size())];
-        sample_rngs.push_back(rng.Fork());
-      }
-      for (SslWorker& worker : workers) {
-        nn::CopyParameterValues(*featurizer_, *worker.featurizer);
         nn::CopyParameterValues(*classifier_, *worker.classifier);
+      } else if (worker.embedder != nullptr) {
+        nn::CopyParameterValues(*embedder_, *worker.embedder);
       }
-      util::ParallelFor(
-          thread_pool, batch_size, num_shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            SslWorker& worker = workers[shard];
-            if (use_plans) {
-              // Same reverse-order backward argument as the serial planned
-              // path, applied per shard chain.
-              SslPlanSet& plans = plan_sets[shard];
-              float acc = 0.0f;
-              for (size_t b = begin; b < end; ++b) {
-                const EncodedProfile& profile = encoded[poi_batch[b]];
-                nn::PlanRun& run = plan_runs[b];
-                std::shared_ptr<const nn::Graph> plan =
-                    poi_plan_for(plans, *worker.featurizer, *worker.classifier,
-                                 profile, sample_rngs[b]);
-                bind_poi_inputs(profile, run);
-                nn::PlanExecutor::Forward(*plan, run, &sample_rngs[b]);
-                const float sample = nn::PlanExecutor::OutputScalar(*plan, run);
-                acc = b == begin ? sample : acc + sample;
-                step_plans[b] = std::move(plan);
-              }
-              for (size_t b = end; b-- > begin;) {
-                nn::PlanExecutor::Backward(*step_plans[b], plan_runs[b],
-                                           inv_batch);
-              }
-              shard_losses[shard] = acc * inv_batch;
-              return;
-            }
-            nn::Tensor loss;
-            for (size_t b = begin; b < end; ++b) {
-              nn::Tensor sample_loss =
-                  poi_sample_loss(*worker.featurizer, *worker.classifier,
-                                  poi_batch[b], sample_rngs[b]);
-              loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-            }
-            loss = nn::Scale(loss, inv_batch);
-            loss.Backward();
-            shard_losses[shard] = loss.value().At(0, 0);
-          });
-      loss_value = reduce_shards(poi_params, /*poi_step=*/true);
-    } else {
-      sample_rngs.clear();
-      for (size_t b = 0; b < batch_size; ++b) {
-        pair_batch[b] = next_pair();
-        sample_rngs.push_back(rng.Fork());
-      }
-      for (SslWorker& worker : workers) {
-        nn::CopyParameterValues(*featurizer_, *worker.featurizer);
-        if (worker.embedder != nullptr) {
-          nn::CopyParameterValues(*embedder_, *worker.embedder);
-        }
-      }
-      util::ParallelFor(
-          thread_pool, batch_size, num_shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            SslWorker& worker = workers[shard];
-            if (use_plans) {
-              SslPlanSet& plans = plan_sets[shard];
-              const float scale = options_.unsup_weight * inv_batch;
-              float acc = 0.0f;
-              for (size_t b = begin; b < end; ++b) {
-                nn::PlanRun& run = plan_runs[b];
-                std::shared_ptr<const nn::Graph> plan = unsup_plan_for(
-                    plans, *worker.featurizer, worker.embedder.get(),
-                    pair_batch[b], sample_rngs[b]);
-                bind_unsup_inputs(pair_batch[b], run);
-                nn::PlanExecutor::Forward(*plan, run, &sample_rngs[b]);
-                const float sample = nn::PlanExecutor::OutputScalar(*plan, run);
-                acc = b == begin ? sample : acc + sample;
-                step_plans[b] = std::move(plan);
-              }
-              for (size_t b = end; b-- > begin;) {
-                nn::PlanExecutor::Backward(*step_plans[b], plan_runs[b], scale);
-              }
-              shard_losses[shard] = acc * scale;
-              return;
-            }
-            nn::Tensor loss;
-            for (size_t b = begin; b < end; ++b) {
-              nn::Tensor sample_loss =
-                  unsup_sample_loss(*worker.featurizer, worker.embedder.get(),
-                                    pair_batch[b], sample_rngs[b]);
-              loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-            }
-            loss = nn::Scale(loss, options_.unsup_weight * inv_batch);
-            loss.Backward();
-            shard_losses[shard] = loss.value().At(0, 0);
-          });
-      loss_value = reduce_shards(unsup_params, /*poi_step=*/false);
     }
+    const std::vector<float>& chain_losses =
+        take_poi_step
+            ? runner.Step(poi_loss, chains, inv_batch, rng, draw_labeled,
+                          poi_batch)
+            : runner.Step(unsup_loss, chains,
+                          options_.unsup_weight * inv_batch, rng, next_pair,
+                          pair_batch);
+    const double loss_value =
+        workers.empty()
+            ? chain_losses[0]
+            : ReduceChains(chain_losses, active_params,
+                           [&](size_t c) -> std::vector<nn::NamedParameter>& {
+                             return take_poi_step ? workers[c].poi_params
+                                                  : workers[c].unsup_params;
+                           });
 
     if (util::FailPoint::ShouldFail("trainer.nan_grad")) {
       active_params.front().tensor.mutable_grad().data()[0] =

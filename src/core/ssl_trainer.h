@@ -48,7 +48,8 @@ struct SslTrainerOptions {
   double min_poi_step_fraction = 0.5;
   /// Data-parallel gradient shards per step (see
   /// JudgeTrainerOptions::num_shards; same fixed-shard determinism
-  /// contract). <= 1 keeps the serial single-tape path.
+  /// contract). <= 1 trains serially: the step is one chain over the shared
+  /// modules (core/chain_runner.h).
   size_t num_shards = 1;
   nn::AdamOptions adam;
   AffinityOptions affinity;
@@ -56,8 +57,9 @@ struct SslTrainerOptions {
   CheckpointOptions checkpoint;
   DivergenceGuardOptions guard;
   /// plan.enabled replays recorded graph plans (keyed by tweet word count)
-  /// instead of rebuilding the eager tape per sample: zero steady-state
-  /// tensor allocations, bitwise-identical losses/parameters.
+  /// instead of rebuilding the eager tape per sample, serial or sharded:
+  /// zero steady-state tensor allocations, bitwise-identical
+  /// losses/parameters.
   nn::PlanOptions plan;
 };
 

@@ -644,13 +644,10 @@ std::pair<uint32_t, uint32_t> SoftmaxCrossEntropyAux(
   return {1, lc};
 }
 
+// The target class id is float-encoded in the 1x1 operand, cast exactly as
+// the eager op casts it.
 inline size_t SceTarget(const Instr& ins, const ExecState& st) {
-  if (ins.in.size() == 2) {
-    // Tensor-operand variant: the target class id is float-encoded in a 1x1
-    // input, cast exactly as the eager overload casts it.
-    return static_cast<size_t>(st.Ptr(ins.in[1])[0]);
-  }
-  return static_cast<size_t>(ins.iattr0);
+  return static_cast<size_t>(st.Ptr(ins.in[1])[0]);
 }
 
 void SoftmaxCrossEntropyForward(const Graph& g, const Instr& ins,
@@ -687,15 +684,11 @@ void SoftmaxCrossEntropyBackward(const Graph& g, const Instr& ins,
   }
 }
 
-inline float SbceLabel(const Instr& ins, const ExecState& st) {
-  return ins.in.size() == 2 ? st.Ptr(ins.in[1])[0] : ins.fattr;
-}
-
 void SigmoidBinaryCrossEntropyForward(const Graph& g, const Instr& ins,
                                       const ExecState& st) {
   (void)g;
   const float z = st.Ptr(ins.in[0])[0];
-  const float label = SbceLabel(ins, st);
+  const float label = st.Ptr(ins.in[1])[0];
   st.Ptr(ins.out)[0] =
       std::max(z, 0.0f) - z * label + std::log1p(std::exp(-std::fabs(z)));
 }
@@ -705,7 +698,7 @@ void SigmoidBinaryCrossEntropyBackward(const Graph& g, const Instr& ins,
   (void)g;
   if (ins.in_grad[0] < 0) return;
   const float z = st.Ptr(ins.in[0])[0];
-  const float label = SbceLabel(ins, st);
+  const float label = st.Ptr(ins.in[1])[0];
   float p = SigmoidValue(z);
   st.Ptr(ins.in_grad[0])[0] += st.Ptr(ins.out_grad)[0] * (p - label);
 }
@@ -1077,12 +1070,12 @@ const OpSchema* BuildRegistry() {
                                  true, false, OneFloatAux};
   at(OpKind::kDot) = {"Dot", 2, 2, ScalarShape, DotForward, DotBackward,
                       false, true, nullptr};
-  at(OpKind::kSoftmaxCrossEntropy) = {"SoftmaxCrossEntropy", 1, 2, ScalarShape,
+  at(OpKind::kSoftmaxCrossEntropy) = {"SoftmaxCrossEntropy", 2, 2, ScalarShape,
                                       SoftmaxCrossEntropyForward,
                                       SoftmaxCrossEntropyBackward, false, true,
                                       SoftmaxCrossEntropyAux};
   at(OpKind::kSigmoidBinaryCrossEntropy) = {
-      "SigmoidBinaryCrossEntropy", 1,   2,    ScalarShape,
+      "SigmoidBinaryCrossEntropy", 2,   2,    ScalarShape,
       SigmoidBinaryCrossEntropyForward, SigmoidBinaryCrossEntropyBackward,
       false,                            true, nullptr};
   at(OpKind::kDropout) = {"Dropout", 1, 1, SameShape1, DropoutForward,

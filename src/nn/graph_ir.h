@@ -42,8 +42,8 @@ enum class OpKind : uint8_t {
   kSumAll,
   kL2NormalizeRow,
   kDot,
-  kSoftmaxCrossEntropy,        // arity 1: iattr0 = target; arity 2: in[1]
-  kSigmoidBinaryCrossEntropy,  // arity 1: fattr = label;  arity 2: in[1]
+  kSoftmaxCrossEntropy,        // in[1] = 1x1 float-encoded target class
+  kSigmoidBinaryCrossEntropy,  // in[1] = 1x1 label
   kDropout,                    // fattr = drop rate; draws from executor rng
   kConv1dSame,
   kMulScalar,                  // in[1] is a 1x1 non-grad scalar tensor

@@ -478,75 +478,30 @@ Tensor SquaredL2Diff(const Tensor& a, const Tensor& b) {
   return SumAll(Mul(diff, diff));
 }
 
-namespace {
-
-Tensor MakeSoftmaxCrossEntropy(const Tensor& logits, size_t target,
-                               std::vector<Tensor> parents) {
-  CHECK_EQ(logits.rows(), 1u);
-  CHECK_LT(target, logits.cols());
-  Matrix probs = SoftmaxValues(logits.value());
-  float p_target = std::max(probs.At(0, target), 1e-12f);
-  Matrix out(1, 1);
-  out.At(0, 0) = -std::log(p_target);
-  return Tensor::MakeOp(std::move(out), std::move(parents),
-                        [probs = std::move(probs), target](Node& self) {
-                          Node& px = *self.parents[0];
-                          if (!px.requires_grad) return;
-                          px.EnsureGrad();
-                          float g = self.grad.At(0, 0);
-                          for (size_t j = 0; j < probs.cols(); ++j) {
-                            float indicator = (j == target) ? 1.0f : 0.0f;
-                            px.grad.data()[j] +=
-                                g * (probs.data()[j] - indicator);
-                          }
-                        });
-}
-
-}  // namespace
-
-Tensor SoftmaxCrossEntropy(const Tensor& logits, size_t target) {
-  Tensor t = MakeSoftmaxCrossEntropy(logits, target, {logits});
-  RecordOp(OpKind::kSoftmaxCrossEntropy, t, {&logits}, 0.0f,
-           static_cast<int64_t>(target), 0);
-  return t;
-}
-
 Tensor SoftmaxCrossEntropy(const Tensor& logits, const Tensor& target) {
   CHECK_EQ(target.rows(), 1u);
   CHECK_EQ(target.cols(), 1u);
   CHECK(!target.requires_grad()) << "class target is not differentiable";
-  size_t target_id = static_cast<size_t>(target.value().At(0, 0));
-  Tensor t = MakeSoftmaxCrossEntropy(logits, target_id, {logits, target});
-  RecordOp(OpKind::kSoftmaxCrossEntropy, t, {&logits, &target});
-  return t;
-}
-
-namespace {
-
-Tensor MakeSigmoidBinaryCrossEntropy(const Tensor& logit, float label,
-                                     std::vector<Tensor> parents) {
-  CHECK_EQ(logit.rows(), 1u);
-  CHECK_EQ(logit.cols(), 1u);
-  float z = logit.value().At(0, 0);
-  // Stable: max(z,0) - z*y + log(1 + exp(-|z|)).
-  float loss = std::max(z, 0.0f) - z * label + std::log1p(std::exp(-std::fabs(z)));
+  CHECK_EQ(logits.rows(), 1u);
+  const size_t target_id = static_cast<size_t>(target.value().At(0, 0));
+  CHECK_LT(target_id, logits.cols());
+  Matrix probs = SoftmaxValues(logits.value());
+  float p_target = std::max(probs.At(0, target_id), 1e-12f);
   Matrix out(1, 1);
-  out.At(0, 0) = loss;
-  float p = SigmoidValue(z);
-  return Tensor::MakeOp(std::move(out), std::move(parents),
-                        [p, label](Node& self) {
-                          Node& px = *self.parents[0];
-                          if (!px.requires_grad) return;
-                          px.EnsureGrad();
-                          px.grad.At(0, 0) += self.grad.At(0, 0) * (p - label);
-                        });
-}
-
-}  // namespace
-
-Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, float label) {
-  Tensor t = MakeSigmoidBinaryCrossEntropy(logit, label, {logit});
-  RecordOp(OpKind::kSigmoidBinaryCrossEntropy, t, {&logit}, label);
+  out.At(0, 0) = -std::log(p_target);
+  Tensor t = Tensor::MakeOp(
+      std::move(out), {logits, target},
+      [probs = std::move(probs), target_id](Node& self) {
+        Node& px = *self.parents[0];
+        if (!px.requires_grad) return;
+        px.EnsureGrad();
+        float g = self.grad.At(0, 0);
+        for (size_t j = 0; j < probs.cols(); ++j) {
+          float indicator = (j == target_id) ? 1.0f : 0.0f;
+          px.grad.data()[j] += g * (probs.data()[j] - indicator);
+        }
+      });
+  RecordOp(OpKind::kSoftmaxCrossEntropy, t, {&logits, &target});
   return t;
 }
 
@@ -554,8 +509,22 @@ Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, const Tensor& label) {
   CHECK_EQ(label.rows(), 1u);
   CHECK_EQ(label.cols(), 1u);
   CHECK(!label.requires_grad()) << "label is not differentiable";
-  float label_value = label.value().At(0, 0);
-  Tensor t = MakeSigmoidBinaryCrossEntropy(logit, label_value, {logit, label});
+  CHECK_EQ(logit.rows(), 1u);
+  CHECK_EQ(logit.cols(), 1u);
+  const float y = label.value().At(0, 0);
+  float z = logit.value().At(0, 0);
+  // Stable: max(z,0) - z*y + log(1 + exp(-|z|)).
+  float loss = std::max(z, 0.0f) - z * y + std::log1p(std::exp(-std::fabs(z)));
+  Matrix out(1, 1);
+  out.At(0, 0) = loss;
+  float p = SigmoidValue(z);
+  Tensor t = Tensor::MakeOp(std::move(out), {logit, label},
+                            [p, y](Node& self) {
+                              Node& px = *self.parents[0];
+                              if (!px.requires_grad) return;
+                              px.EnsureGrad();
+                              px.grad.At(0, 0) += self.grad.At(0, 0) * (p - y);
+                            });
   RecordOp(OpKind::kSigmoidBinaryCrossEntropy, t, {&logit, &label});
   return t;
 }

@@ -77,22 +77,16 @@ Tensor Dot(const Tensor& a, const Tensor& b);
 /// ||a - b||^2 for two same-shape tensors -> (1 x 1).
 Tensor SquaredL2Diff(const Tensor& a, const Tensor& b);
 
-/// Softmax cross-entropy of a (1 x C) logit row against class `target`;
-/// returns the (1 x 1) loss. Numerically stabilized (max subtraction).
-Tensor SoftmaxCrossEntropy(const Tensor& logits, size_t target);
-
-/// Tensor-operand variant: `target` is a non-differentiable (1 x 1) tensor
-/// holding the float-encoded class index. Identical arithmetic to the
-/// attribute form, but the target can vary per execution when the graph is
-/// replayed from a recorded plan.
+/// Softmax cross-entropy of a (1 x C) logit row against the class whose
+/// float-encoded index `target`, a non-differentiable (1 x 1) tensor, holds;
+/// returns the (1 x 1) loss. Numerically stabilized (max subtraction). The
+/// target is an operand, not an attribute, so it can vary per execution
+/// when the graph is replayed from a recorded plan.
 Tensor SoftmaxCrossEntropy(const Tensor& logits, const Tensor& target);
 
-/// Binary cross-entropy of a (1 x 1) logit against label in {0, 1};
-/// returns the (1 x 1) loss. Numerically stabilized.
-Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, float label);
-
-/// Tensor-operand variant: `label` is a non-differentiable (1 x 1) tensor,
-/// so it can vary per execution when replayed from a recorded plan.
+/// Binary cross-entropy of a (1 x 1) logit against the label in {0, 1} held
+/// by `label`, a non-differentiable (1 x 1) tensor (an operand, so it can
+/// vary per replay); returns the (1 x 1) loss. Numerically stabilized.
 Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, const Tensor& label);
 
 /// x * s for a non-differentiable (1 x 1) scale tensor — the plan-friendly

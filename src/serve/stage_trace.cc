@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/thread_id.h"
-
 namespace hisrect::serve {
 
 const char* StageTraceOutcomeName(StageTrace::Outcome outcome) {
@@ -34,7 +32,7 @@ StageTraceBuffer::StageTraceBuffer(size_t capacity,
 
 void StageTraceBuffer::Record(StageTrace trace) {
   trace.sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Stripe& stripe = stripes_[util::ThisThreadIndex() % kStripes];
+  Stripe& stripe = stripes_[trace.sequence % kStripes];
   std::lock_guard<std::mutex> lock(stripe.mutex);
   stripe.ring[stripe.next] = trace;
   stripe.next = (stripe.next + 1) % stripe.ring.size();

@@ -16,8 +16,10 @@
 // (expired / cancelled / aborted) carry the stages they actually reached.
 //
 // Traces land in a lock-striped ring buffer: recording takes one short
-// stripe lock (picked by thread index, so the batcher and concurrent
-// Cancel() calls rarely contend) and never allocates after construction.
+// stripe lock and never allocates after construction. The stripe is picked
+// by the trace's completion sequence number, so consecutive records land in
+// different stripes: concurrent recorders rarely contend, and the buffer
+// keeps the newest `capacity` traces even when one thread records them all.
 // Requests slower than a configurable threshold are additionally retained
 // as SlowExemplars — the full request identity plus the per-stage
 // breakdown — in a small keep-the-slowest side buffer, so the operator can
@@ -90,9 +92,9 @@ class StageTraceBuffer {
   StageTraceBuffer(const StageTraceBuffer&) = delete;
   StageTraceBuffer& operator=(const StageTraceBuffer&) = delete;
 
-  /// Stamps `trace.sequence` and appends it to the calling thread's stripe,
-  /// overwriting the oldest entry once the stripe ring is full. No
-  /// allocation.
+  /// Stamps `trace.sequence` and appends it to stripe
+  /// `sequence % kStripes`, overwriting the oldest entry once that stripe
+  /// ring is full. No allocation.
   void Record(StageTrace trace);
 
   /// Retains `exemplar` if it beats (or fits beside) the current slowest

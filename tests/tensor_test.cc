@@ -158,16 +158,20 @@ std::vector<OpCase> OpCases() {
                    [=](const Tensor& x) { return Dot(x, row); },
                    1, 3});
   cases.push_back({"SoftmaxCrossEntropy",
-                   [](const Tensor& x) { return SoftmaxCrossEntropy(x, 1); },
+                   [](const Tensor& x) {
+                     return SoftmaxCrossEntropy(x, Tensor::RowVector({1.0f}));
+                   },
                    1, 3});
   cases.push_back({"SigmoidBCE_pos",
                    [](const Tensor& x) {
-                     return SigmoidBinaryCrossEntropy(SumAll(x), 1.0f);
+                     return SigmoidBinaryCrossEntropy(SumAll(x),
+                                                     Tensor::RowVector({1.0f}));
                    },
                    1, 1});
   cases.push_back({"SigmoidBCE_neg",
                    [](const Tensor& x) {
-                     return SigmoidBinaryCrossEntropy(SumAll(x), 0.0f);
+                     return SigmoidBinaryCrossEntropy(SumAll(x),
+                                                     Tensor::RowVector({0.0f}));
                    },
                    1, 1});
   cases.push_back({"Conv1dSame_input",
@@ -226,9 +230,13 @@ TEST(OpsTest, SigmoidValueSymmetry) {
 TEST(OpsTest, SigmoidBceMatchesDefinition) {
   Tensor logit = Tensor::RowVector({0.7f});
   float p = SigmoidValue(0.7f);
-  EXPECT_NEAR(SigmoidBinaryCrossEntropy(logit, 1.0f).value().At(0, 0),
+  EXPECT_NEAR(SigmoidBinaryCrossEntropy(logit, Tensor::RowVector({1.0f}))
+                  .value()
+                  .At(0, 0),
               -std::log(p), 1e-5f);
-  EXPECT_NEAR(SigmoidBinaryCrossEntropy(logit, 0.0f).value().At(0, 0),
+  EXPECT_NEAR(SigmoidBinaryCrossEntropy(logit, Tensor::RowVector({0.0f}))
+                  .value()
+                  .At(0, 0),
               -std::log(1.0f - p), 1e-5f);
 }
 

@@ -60,7 +60,7 @@ TEST_F(TrainerFixture, SslTrainingReducesPoiLoss) {
       nn::Tensor feature = featurizer_->Featurize(encoded_[index]);
       nn::Tensor loss = nn::SoftmaxCrossEntropy(
           classifier_->Logits(feature),
-          static_cast<size_t>(encoded_[index].pid));
+          nn::Tensor::RowVector({static_cast<float>(encoded_[index].pid)}));
       total += loss.value().At(0, 0);
       if (++count >= 100) break;
     }
@@ -138,7 +138,7 @@ TEST_F(TrainerFixture, JudgeTrainingReducesCoLocationLoss) {
         nn::Tensor fi = featurizer_->Featurize(encoded_[pair.i]);
         nn::Tensor fj = featurizer_->Featurize(encoded_[pair.j]);
         nn::Tensor loss = nn::SigmoidBinaryCrossEntropy(
-            judge_->CoLocationLogit(fi, fj), label);
+            judge_->CoLocationLogit(fi, fj), nn::Tensor::RowVector({label}));
         total += loss.value().At(0, 0);
         ++count;
         if (++taken >= 40) return;

@@ -3,12 +3,17 @@
 # (-march=native) Release trees must train byte-identical checkpoints, on
 # the eager tape and through fused recorded plans (--plan --fuse), at 1 and
 # 4 threads. Eight trainings, one set of bytes: exits 1 unless every
-# checkpoint matches the default-build eager 1-thread one.
+# checkpoint matches the default-build eager 1-thread one, and that one has
+# the recorded md5 below. The pin makes the gate absolute: a change that
+# moved every build and executor in lockstep still fails it. It belongs to
+# the toolchain it was recorded with (GCC 12.2, glibc 2.36, x86-64).
 #
 # Builds its own trees (build-crossbuild-default, build-crossbuild-native)
 # and writes the checkpoints to a temporary directory removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+expected_md5=16963de5812eaf7b2789bfb6fdb7892b
 
 work_dir=$(mktemp -d)
 trap 'rm -rf "$work_dir"' EXIT
@@ -51,4 +56,11 @@ if [ "$failed" -ne 0 ]; then
     "executors or thread counts"
   exit 1
 fi
-echo "crossbuild_determinism: OK — 8 byte-identical checkpoints"
+reference_md5=$(md5sum < "$reference" | cut -d' ' -f1)
+if [ "$reference_md5" != "$expected_md5" ]; then
+  echo "crossbuild_determinism: FAILED — reference md5 $reference_md5," \
+    "recorded $expected_md5: the training trajectory changed"
+  exit 1
+fi
+echo "crossbuild_determinism: OK — 8 byte-identical checkpoints, md5" \
+  "$expected_md5"

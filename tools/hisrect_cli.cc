@@ -3,8 +3,9 @@
 //   hisrect_cli stats  [--preset nyc|lv] [--scale S] [--seed N]
 //   hisrect_cli train  [--preset ...] [--ssl-steps N] [--judge-steps N]
 //                      [--threads N] [--shards N] [--pipeline-shards N]
-//                      [--plan] [--checkpoint-dir DIR] [--checkpoint-every N]
-//                      [--keep-last N] [--resume] [--out model.bin]
+//                      [--plan] [--fuse] [--checkpoint-dir DIR]
+//                      [--checkpoint-every N] [--keep-last N] [--resume]
+//                      [--out model.bin]
 //   hisrect_cli eval   [--preset ...] [--threads N] [--model model.bin]
 //                      (fit if no model)
 //
@@ -67,7 +68,8 @@ struct CliOptions {
   size_t judge_steps = 3000;
   /// 0 keeps the pool's environment-derived default size.
   size_t threads = 0;
-  /// Gradient shards per training step (1 = serial single-tape path).
+  /// Gradient shards per training step (1 = serial: one chain over the
+  /// shared modules).
   size_t shards = 1;
   /// Shards for encoding + graph build (0 = one per pool worker).
   size_t pipeline_shards = 0;

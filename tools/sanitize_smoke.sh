@@ -14,7 +14,10 @@
 # its failpoint faults (serve.slow_batch, serve.score_abort,
 # registry.corrupt_load) run under ASan/UBSan as well. The router suite
 # rides along under TSan: shard fan-out, fleet swaps, and the routed_
-# counters cross the router, shard batchers, and registry threads. The TSan
+# counters cross the router, shard batchers, and registry threads. So do the
+# `parallel` suites (thread_pool_test, parallel_training_test,
+# determinism_test): every sharded training step runs its chains on pool
+# threads, each on its own replica, plan slots and forked RNG streams. The TSan
 # leg is a soak: each suite runs up to three times (ctest --repeat
 # until-fail:3), because one pass samples one interleaving of the batcher's
 # inline scoring, the pool's cursor tasks and per-request resolution.
@@ -24,8 +27,8 @@
 #                (default: all three)
 #   BUILD_ROOT   prefix for the build trees (default: build-san)
 #   CTEST_LABEL  ctest -L selector override; empty picks per-sanitizer
-#                defaults (robustness|plan for address/undefined, obs|serve
-#                for thread)
+#                defaults (robustness|plan|fusion for address/undefined,
+#                obs|serve|fusion|router|parallel for thread)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,7 +38,7 @@ CTEST_LABEL=${CTEST_LABEL:-}
 
 label_for() {
   case "$1" in
-    thread) echo "obs|serve|fusion|router" ;;  # ctest -L takes a regex
+    thread) echo "obs|serve|fusion|router|parallel" ;;  # ctest -L: a regex
     *) echo "robustness|plan|fusion" ;;
   esac
 }
